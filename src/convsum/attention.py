@@ -89,13 +89,52 @@ def attention_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    L, d = x.shape
-    return transpose(reshape(x, (L, heads, d // heads)), (1, 0, 2))
+    """(..., L, d) -> (..., H, L, d/H)."""
+    *lead, L, d = x.shape
+    if d % heads != 0:
+        raise ContractError(f"model width {d} not divisible by {heads} heads")
+    n = len(lead)
+    return transpose(reshape(x, (*lead, L, heads, d // heads)), (*range(n), n + 1, n, n + 2))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    H, L, dk = x.shape
-    return reshape(transpose(x, (1, 0, 2)), (L, H * dk))
+    """(..., H, L, dk) -> (..., L, H*dk)."""
+    *lead, H, L, dk = x.shape
+    n = len(lead)
+    return reshape(transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, L, H * dk))
+
+
+def project_kv(kv_in: Tensor, params: dict[str, Tensor], heads: int) -> tuple[Tensor, Tensor]:
+    """Keys and values (..., H, Lk, dk) of kv_in (..., Lk, d) for one attention block.
+
+    Incremental decoding calls this once per source for cross-attention and
+    once per new token for self-attention, and keeps the results.
+    """
+    k = _split_heads(linear(kv_in, params["wk"], params["bk"]), heads)
+    v = _split_heads(linear(kv_in, params["wv"], params["bv"]), heads)
+    return k, v
+
+
+def attend(
+    query_in: Tensor,
+    k: Tensor,
+    v: Tensor,
+    params: dict[str, Tensor],
+    heads: int,
+    mask: np.ndarray | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of query_in (..., Lq, d) over projected
+    keys/values (..., H, Lk, dk); leading axes broadcast.
+
+    Optional boolean mask (Lq, Lk). Returns (output (..., Lq, d), attention
+    weights (..., H, Lq, Lk)).
+    """
+    q = _split_heads(linear(query_in, params["wq"], params["bq"]), heads)
+    n = k.data.ndim
+    scores = scale(matmul(q, transpose(k, (*range(n - 2), n - 1, n - 2))), q.shape[-1] ** -0.5)
+    weights = softmax(scores, mask if mask is None else mask[None, :, :])
+    out = linear(_merge_heads(matmul(weights, v)), params["wo"], params["bo"])
+    return out, weights
 
 
 def multi_head_attention(
@@ -110,17 +149,7 @@ def multi_head_attention(
     query_in (Lq, d), kv_in (Lk, d), optional boolean mask (Lq, Lk).
     Returns (output (Lq, d), attention weights (H, Lq, Lk)).
     """
-    d = query_in.shape[-1]
-    if d % heads != 0:
-        raise ContractError(f"model width {d} not divisible by {heads} heads")
-    dk = d // heads
-    q = _split_heads(linear(query_in, params["wq"], params["bq"]), heads)
-    k = _split_heads(linear(kv_in, params["wk"], params["bk"]), heads)
-    v = _split_heads(linear(kv_in, params["wv"], params["bv"]), heads)
-    scores = scale(matmul(q, transpose(k, (0, 2, 1))), dk ** -0.5)
-    weights = softmax(scores, mask if mask is None else mask[None, :, :])
-    out = linear(_merge_heads(matmul(weights, v)), params["wo"], params["bo"])
-    return out, weights
+    return attend(query_in, *project_kv(kv_in, params, heads), params, heads, mask)
 
 
 def conv_multi_head_attention(

@@ -4,11 +4,15 @@ Minimal tape engine: every op builds a node holding its inputs and a backward
 closure; `backward(loss)` walks the recorded graph in reverse topological
 order. Values are checked for NaN/Inf after every forward op and every
 backward contribution, and the offending op is named (fail-fast policy).
+Under `no_grad()` ops record nothing: forward-only work such as decoding
+builds no graph and leaves no reference cycles behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -79,10 +83,31 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+class _GradMode(threading.local):
+    # Per thread, so a decode on one thread cannot switch off recording for a
+    # training step on another.
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: results keep no parents and no
+    backward closure, and never require grad. Finite checks still run."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     _check_finite(op, data)
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward

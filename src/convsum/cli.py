@@ -13,6 +13,7 @@ import sys
 from . import data
 from .checkpoint import load_checkpoint, restore_model
 from .config import SCHEMA, RunConfig, check_arch_compatible, load_config, parse_value
+from .decoding import beam_search
 from .errors import (
     ConfigError,
     ContractError,
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .rouge import format_report, lead_tail_analysis, split_sentences
 from .tokenizer import Vocab, build_vocab, detokenize
-from .trainer import Trainer, evaluate_model, summarize_ids
+from .trainer import Trainer, evaluate_model
 
 _DECODING_KEYS = ("beam_size", "min_length", "max_length", "coverage_beta")
 
@@ -92,7 +93,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         except OSError as e:
             raise DataError(f"cannot read input file {args.input}: {e}") from e
     src = data.encode_source(text, model.vocab, cfg)
-    ids = summarize_ids(model, src, cfg.decoding_config())
+    ids = beam_search(model, src, cfg.decoding_config())
     print(detokenize(ids, model.vocab))
     return 0
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import no_grad
 from .errors import ContractError
 
 COVERAGE_FLOOR = 1e-10
@@ -53,53 +54,95 @@ def _final_score(h: Hypothesis, beta: float) -> float:
     return h.log_prob + coverage_penalty(h.coverage, beta)
 
 
+class _FullPrefixDecoder:
+    """The start_decode interface for a model that only has decode_step:
+    reruns the full prefix of every row on each step."""
+
+    def __init__(self, model, memory, src_ids):
+        self.model, self.memory, self.src_ids = model, memory, src_ids
+        self.prefixes: list[list[int]] = [[]]
+
+    def step(self, last_tokens):
+        self.prefixes = [p + [int(t)] for p, t in zip(self.prefixes, last_tokens)]
+        rows = [self.model.decode_step(self.memory, self.src_ids, p) for p in self.prefixes]
+        return np.array([r[0] for r in rows], dtype=np.float64), np.array([r[1] for r in rows])
+
+    def reorder(self, rows):
+        self.prefixes = [self.prefixes[r] for r in rows]
+
+
+def _top_candidates(scores: np.ndarray, k: int, tokens: list[list[int]]) -> list[tuple]:
+    """The k best (score, row, token) over finite entries of scores (B, V),
+    ordered by (-score, tokens[row] + [token]); every tie at the k-th score
+    competes on tokens."""
+    flat = scores.ravel()
+    finite = np.flatnonzero(flat > -np.inf)
+    if finite.size > k:
+        kth = -np.partition(-flat[finite], k - 1)[k - 1]
+        finite = finite[flat[finite] >= kth]
+    V = scores.shape[1]
+    cands = [(float(flat[j]), j // V, j % V) for j in finite.tolist()]
+    cands.sort(key=lambda c: (-c[0], tokens[c[1]], c[2]))
+    return cands[:k]
+
+
 def beam_search(model, src_ids, cfg: DecodingConfig) -> list[int]:
     """Best decoded token-id sequence (EOS stripped) for one source.
 
-    The model must expose encode(src_ids) -> memory, decode_step(memory,
-    src_ids, prefix) -> (probs (V,), source attention), and vocab.bos_id /
-    vocab.eos_id. Ties break by earlier finish step, then lexicographic
-    token order, which makes decoding deterministic.
+    The model must expose encode(src_ids) -> memory, vocab.bos_id /
+    vocab.eos_id, and either start_decode(memory, src_ids) -> a state with
+    step(last_tokens (B,)) -> (probs (B, V), source attention (B, L)) and
+    reorder(rows), or decode_step(memory, src_ids, prefix) -> (probs (V,),
+    source attention (L,)), which is rerun over the full prefix per
+    hypothesis. Live hypotheses are the state's rows. Ties break by earlier
+    finish step, then lexicographic token order, which makes decoding
+    deterministic. Runs without recording a tape.
     """
     src_ids = np.asarray(src_ids, dtype=np.int64)
     if src_ids.size == 0:
         raise ContractError("beam_search: empty source")
-    memory = model.encode(src_ids)
-    bos, eos = model.vocab.bos_id, model.vocab.eos_id
-    src_len = src_ids.size
+    with no_grad():
+        memory = model.encode(src_ids)
+        if hasattr(model, "start_decode"):
+            state = model.start_decode(memory, src_ids)
+        else:
+            state = _FullPrefixDecoder(model, memory, src_ids)
+        return _search(state, model.vocab.bos_id, model.vocab.eos_id, src_ids.size, cfg)
 
+
+def _search(state, bos: int, eos: int, src_len: int, cfg: DecodingConfig) -> list[int]:
     live = [Hypothesis([], 0.0, False, np.zeros(src_len))]
     finished: list[Hypothesis] = []
+    last = [bos]
 
     for step in range(cfg.max_length):
-        candidates: list[tuple[float, list[int], Hypothesis, np.ndarray]] = []
-        for hyp in live:
-            probs, attn = model.decode_step(memory, src_ids, [bos] + hyp.tokens)
-            probs = np.asarray(probs, dtype=np.float64)
-            if probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-6:
-                raise ContractError("beam_search: model produced an invalid distribution")
-            with np.errstate(divide="ignore"):
-                logp = np.log(probs)
-            if len(hyp.tokens) < cfg.min_length:
-                logp[eos] = -np.inf
-            for tok in range(len(probs)):
-                if logp[tok] == -np.inf:
-                    continue
-                candidates.append(
-                    (hyp.log_prob + logp[tok], hyp.tokens + [tok], hyp, attn)
-                )
-        if not candidates:
+        probs, attn = state.step(last)
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.min() < 0.0 or not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all():
+            raise ContractError("beam_search: model produced an invalid distribution")
+        with np.errstate(divide="ignore"):
+            scores = np.log(probs)
+        if step < cfg.min_length:
+            scores[:, eos] = -np.inf
+        scores += np.array([h.log_prob for h in live])[:, None]
+        best = _top_candidates(scores, cfg.beam_size, [h.tokens for h in live])
+        if not best:
             break
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for score, tokens, hyp, attn in candidates[: cfg.beam_size]:
-            coverage = hyp.coverage + attn
-            if tokens[-1] == eos:
-                finished.append(Hypothesis(tokens[:-1], score, True, coverage, step))
+        survivors = []
+        next_live = []
+        for score, row, tok in best:
+            hyp = live[row]
+            coverage = hyp.coverage + attn[row]
+            if tok == eos:
+                finished.append(Hypothesis(list(hyp.tokens), score, True, coverage, step))
             else:
-                live.append(Hypothesis(tokens, score, False, coverage))
+                next_live.append(Hypothesis(hyp.tokens + [tok], score, False, coverage))
+                survivors.append(row)
+        live = next_live
         if len(finished) >= cfg.beam_size or not live:
             break
+        state.reorder(survivors)
+        last = [h.tokens[-1] for h in live]
 
     pool = finished + [
         Hypothesis(h.tokens, h.log_prob, False, h.coverage, cfg.max_length) for h in live

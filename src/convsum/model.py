@@ -4,7 +4,6 @@ conditioning on a frozen embedding provider via stacking or concatenation."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -13,9 +12,11 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (
     AttentionConfig,
+    attend,
     attention_params,
     conv_multi_head_attention,
     multi_head_attention,
+    project_kv,
 )
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
@@ -48,6 +49,12 @@ class ModelConfig:
             )
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ConfigError("encoder and decoder need at least one layer each")
+        conv = self.attention.conv_layers
+        if len(set(conv)) != len(conv) or not all(0 <= i < self.enc_layers for i in conv):
+            raise ConfigError(
+                f"conv_layers {tuple(conv)} must be distinct encoder layer indices "
+                f"in [0, {self.enc_layers})"
+            )
         if self.integration not in INTEGRATION_MODES:
             raise ConfigError(f"integration must be one of {INTEGRATION_MODES}")
         if self.integration == "concatenation" and self.enc_layers - self.conv_branch_layers < 1:
@@ -63,15 +70,28 @@ class ModelConfig:
         return -(-self.enc_layers // 3)
 
 
-@functools.lru_cache(maxsize=None)
+_SINUSOID_TABLES: dict[int, np.ndarray] = {}
+
+
 def _sinusoid(length: int, d: int) -> np.ndarray:
-    pos = np.arange(length)[:, None]
-    dim = np.arange(d // 2)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * dim / d)
-    pe = np.zeros((length, d))
-    pe[:, 0::2] = np.sin(angle)
-    pe[:, 1::2] = np.cos(angle)
-    return pe
+    """Read-only sinusoid position rows 0..length-1 at width d.
+
+    One table per width, grown on demand (at least doubling) and sliced; a row
+    does not depend on how many rows are built, so a slice equals a table built
+    at exactly `length`.
+    """
+    table = _SINUSOID_TABLES.get(d)
+    if table is None or table.shape[0] < length:
+        rows = length if table is None else max(length, 2 * table.shape[0])
+        pos = np.arange(rows)[:, None]
+        dim = np.arange(d // 2)[None, :]
+        angle = pos / np.power(10000.0, 2.0 * dim / d)
+        table = np.zeros((rows, d))
+        table[:, 0::2] = np.sin(angle)
+        table[:, 1::2] = np.cos(angle)
+        table.setflags(write=False)
+        _SINUSOID_TABLES[d] = table
+    return table[:length]
 
 
 def _linear_init(rng: np.random.Generator, din: int, dout: int) -> tuple[Tensor, Tensor]:
@@ -83,11 +103,6 @@ def _linear_init(rng: np.random.Generator, din: int, dout: int) -> tuple[Tensor,
 
 def _norm_init(d: int) -> tuple[Tensor, Tensor]:
     return Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True)
-
-
-def _sub(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
-    pl = prefix + "."
-    return {k[len(pl):]: v for k, v in params.items() if k.startswith(pl)}
 
 
 class Summarizer:
@@ -123,6 +138,7 @@ class Summarizer:
             )
         self.rng = np.random.default_rng(seed)
         self.params = self._init_params(np.random.default_rng(seed))
+        self._blocks: dict[str, dict[str, Tensor]] = {}
 
     # ------------------------------------------------------------------
     # parameters
@@ -172,6 +188,16 @@ class Summarizer:
             p["copy.gate.w"], p["copy.gate.b"] = _linear_init(rng, 2 * d, 1)
         return p
 
+    def _block(self, prefix: str) -> dict[str, Tensor]:
+        """Parameters named `prefix.<key>`, keyed by <key>; built on first use
+        (checkpoint restores update the tensors in place, never replace them)."""
+        block = self._blocks.get(prefix)
+        if block is None:
+            pl = prefix + "."
+            block = {k[len(pl):]: v for k, v in self.params.items() if k.startswith(pl)}
+            self._blocks[prefix] = block
+        return block
+
     # ------------------------------------------------------------------
     # encoder
     # ------------------------------------------------------------------
@@ -181,7 +207,7 @@ class Summarizer:
 
     def _encoder_layer(self, x: Tensor, i: int, use_conv: bool, training: bool) -> Tensor:
         p = self.params
-        att = _sub(p, f"enc.{i}.att")
+        att = self._block(f"enc.{i}.att")
         if use_conv:
             a, _ = conv_multi_head_attention(x, att, self.cfg.attention)
         else:
@@ -245,39 +271,60 @@ class Summarizer:
     # decoder
     # ------------------------------------------------------------------
 
+    def _target_embedding(self, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
+        """Decoder inputs (N, d) for target ids (N,) plus sinusoid rows pe (N or 1, d)."""
+        p = self.params
+        if self.cfg.decoder_conditioned:
+            table = ad.constant(self.provider.token_table[ids])
+            x = ad.linear(table, p["dec_proj.w"], p["dec_proj.b"])
+        else:
+            x = ad.embedding_lookup(p["tgt_embed"], ids) * math.sqrt(self.cfg.d_model)
+        return self._drop(x + ad.constant(pe), training)
+
+    def _decoder_layer(
+        self,
+        x: Tensor,
+        i: int,
+        self_kv: tuple[Tensor, Tensor],
+        cross_kv: tuple[Tensor, Tensor],
+        mask: np.ndarray | None,
+        training: bool,
+    ) -> tuple[Tensor, Tensor]:
+        """Decoder layer i on x (..., T, d) given its self-attention keys/values
+        and the cross-attention keys/values of memory; returns (output, cross
+        weights (..., H, T, L))."""
+        p = self.params
+        heads = self.cfg.attention.heads
+        a, _ = attend(x, *self_kv, self._block(f"dec.{i}.self"), heads, mask)
+        x = ad.layer_norm(x + self._drop(a, training), p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
+        c, cross_weights = attend(x, *cross_kv, self._block(f"dec.{i}.cross"), heads)
+        x = ad.layer_norm(x + self._drop(c, training), p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
+        f = ad.linear(
+            ad.relu(ad.linear(x, p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"])),
+            p[f"dec.{i}.ff.w2"],
+            p[f"dec.{i}.ff.b2"],
+        )
+        x = ad.layer_norm(x + self._drop(f, training), p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
+        return x, cross_weights
+
     def _decoder_states(
         self, memory: Tensor, prefix_ids: np.ndarray, training: bool
     ) -> tuple[Tensor, Tensor]:
         """Run the decoder stack; returns (states (T, d), last cross-attention (H, T, L))."""
-        cfg = self.cfg
-        p = self.params
+        prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
         T = len(prefix_ids)
         if T == 0:
             raise ContractError("decode: empty prefix")
         if prefix_ids[0] != self.vocab.bos_id:
             raise ContractError("decode: prefix must begin with BOS")
-        d = cfg.d_model
-        if cfg.decoder_conditioned:
-            table = ad.constant(self.provider.token_table[np.asarray(prefix_ids, dtype=np.int64)])
-            x = ad.linear(table, p["dec_proj.w"], p["dec_proj.b"])
-        else:
-            x = ad.embedding_lookup(p["tgt_embed"], prefix_ids) * math.sqrt(d)
-        x = self._drop(x + ad.constant(_sinusoid(T, d)), training)
-
+        x = self._target_embedding(prefix_ids, _sinusoid(T, self.cfg.d_model), training)
         causal = np.tril(np.ones((T, T), dtype=bool))
+        heads = self.cfg.attention.heads
         cross_weights = None
-        heads = cfg.attention.heads
-        for i in range(cfg.dec_layers):
-            a, _ = multi_head_attention(x, x, _sub(p, f"dec.{i}.self"), heads, causal)
-            x = ad.layer_norm(x + self._drop(a, training), p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
-            c, cross_weights = multi_head_attention(x, memory, _sub(p, f"dec.{i}.cross"), heads)
-            x = ad.layer_norm(x + self._drop(c, training), p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
-            f = ad.linear(
-                ad.relu(ad.linear(x, p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"])),
-                p[f"dec.{i}.ff.w2"],
-                p[f"dec.{i}.ff.b2"],
-            )
-            x = ad.layer_norm(x + self._drop(f, training), p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
+        for i in range(self.cfg.dec_layers):
+            self_kv = project_kv(x, self._block(f"dec.{i}.self"), heads)
+            cross_kv = project_kv(memory, self._block(f"dec.{i}.cross"), heads)
+            x, cross_weights = self._decoder_layer(x, i, self_kv, cross_kv, causal, training)
         return x, cross_weights
 
     def pointer_generator(
@@ -314,22 +361,31 @@ class Summarizer:
         mixed = ad.add(ad.mul(gate, p_copy), ad.mul(one_minus, p_soft))
         return gate, mixed, attn
 
+    def _output_head(
+        self, states: Tensor, cross: Tensor, memory: Tensor, src_ids: np.ndarray
+    ) -> tuple[Tensor, Tensor]:
+        """Next-token distributions (N, V) plus source attention (N, L) for
+        decoder states (N, d); `cross` is the last layer's cross-attention
+        weights (..., H, N, L), which give the attention when there is no copy layer."""
+        if self.cfg.copy:
+            _, mixed, attn = self.pointer_generator(states, memory, src_ids)
+            return mixed, attn
+        probs = ad.softmax(ad.linear(states, self.params["gen.w"], self.params["gen.b"]))
+        mean_cross = ad.scale(ad.tensor_sum(cross, axis=-3), 1.0 / self.cfg.attention.heads)
+        return probs, ad.reshape(mean_cross, (states.shape[0], memory.shape[0]))
+
     def _output_distribution(
         self, memory: Tensor, src_ids: np.ndarray, prefix_ids: np.ndarray, training: bool
     ) -> tuple[Tensor, Tensor]:
         """Full-prefix distributions (T, V) plus per-position source attention (T, L)."""
         states, cross = self._decoder_states(memory, prefix_ids, training)
-        if self.cfg.copy:
-            _, mixed, attn = self.pointer_generator(states, memory, src_ids)
-            return mixed, attn
-        probs = ad.softmax(ad.linear(states, self.params["gen.w"], self.params["gen.b"]))
-        mean_cross = ad.scale(ad.tensor_sum(cross, axis=0), 1.0 / self.cfg.attention.heads)
-        return probs, mean_cross
+        return self._output_head(states, cross, memory, src_ids)
 
     def decode_step(
         self, memory: Tensor, src_ids, prefix_ids, training: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Next-token distribution for the last prefix position.
+        """Next-token distribution for the last prefix position, recomputed
+        over the full prefix: the reference for `start_decode`.
 
         Returns (probabilities (V,), source attention (L,)); the attention row
         feeds the decoder's coverage accounting.
@@ -339,6 +395,10 @@ class Summarizer:
             memory, np.asarray(src_ids, dtype=np.int64), prefix_ids, training
         )
         return probs.data[-1].copy(), attn.data[-1].copy()
+
+    def start_decode(self, memory: Tensor, src_ids) -> "DecoderState":
+        """Incremental decoder over memory for hypotheses held as batch rows."""
+        return DecoderState(self, memory, np.asarray(src_ids, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # training
@@ -390,3 +450,62 @@ class Summarizer:
         ad.backward(total)
         lr = adam_noam_step(opt_state, self.params)
         return total.item(), lr
+
+
+class DecoderState:
+    """Incremental decoding of B hypotheses over one source, one per batch row.
+
+    Keeps each decoder layer's self-attention keys/values (B, H, t, dk) for the
+    t tokens fed so far, and the cross-attention keys/values of memory,
+    projected once. `step` feeds one token per row (BOS first) and runs the
+    decoder stack and output layer on those B positions only; `reorder` makes
+    the rows follow the hypotheses that survive a beam step. Records no tape.
+    """
+
+    def __init__(self, model: Summarizer, memory: Tensor, src_ids: np.ndarray):
+        if memory.shape[0] != src_ids.size:
+            raise ContractError("start_decode: memory length must match source ids")
+        self.model, self.memory, self.src_ids = model, memory, src_ids
+        heads, n = model.cfg.attention.heads, model.cfg.dec_layers
+        with ad.no_grad():
+            self.cross_kv = [
+                project_kv(memory, model._block(f"dec.{i}.cross"), heads) for i in range(n)
+            ]
+        self.keys: list[np.ndarray | None] = [None] * n
+        self.values: list[np.ndarray | None] = [None] * n
+        self.pos = 0
+        self.rows = 1
+
+    def step(self, last_tokens) -> tuple[np.ndarray, np.ndarray]:
+        """Feed last_tokens (B,); returns (probabilities (B, V), source attention (B, L))."""
+        m = self.model
+        ids = np.asarray(last_tokens, dtype=np.int64).reshape(-1)
+        B, d, heads = ids.size, m.cfg.d_model, m.cfg.attention.heads
+        if self.pos == 0 and not (ids == m.vocab.bos_id).all():
+            raise ContractError("decode: the first step must feed BOS")
+        if self.pos > 0 and B != self.rows:
+            raise ContractError(f"decode: {B} tokens fed to {self.rows} rows")
+        with ad.no_grad():
+            pe = _sinusoid(self.pos + 1, d)[self.pos:]
+            x = ad.reshape(m._target_embedding(ids, pe, False), (B, 1, d))
+            for i in range(m.cfg.dec_layers):
+                k, v = project_kv(x, m._block(f"dec.{i}.self"), heads)
+                if self.pos > 0:
+                    k = ad.constant(np.concatenate([self.keys[i], k.data], axis=2))
+                    v = ad.constant(np.concatenate([self.values[i], v.data], axis=2))
+                self.keys[i], self.values[i] = k.data, v.data
+                x, cross = m._decoder_layer(x, i, (k, v), self.cross_kv[i], None, False)
+            probs, attn = m._output_head(ad.reshape(x, (B, d)), cross, self.memory, self.src_ids)
+        self.pos += 1
+        self.rows = B
+        return probs.data, attn.data
+
+    def reorder(self, rows) -> None:
+        """Row r becomes the old row rows[r]; rows may repeat or drop rows."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size == 0 or rows.min() < 0 or rows.max() >= self.rows:
+            raise ContractError(f"decode: reorder rows must lie in [0, {self.rows})")
+        if self.pos > 0:
+            self.keys = [k[rows] for k in self.keys]
+            self.values = [v[rows] for v in self.values]
+        self.rows = rows.size

@@ -112,10 +112,6 @@ class Trainer:
         save_checkpoint(path, self.model, self.opt, self.cfg)
 
 
-def summarize_ids(model: Summarizer, src_ids: np.ndarray, dec_cfg: DecodingConfig) -> list[int]:
-    return beam_search(model, src_ids, dec_cfg)
-
-
 def evaluate_model(
     model: Summarizer,
     test_pairs: list[tuple[np.ndarray, list[str]]],

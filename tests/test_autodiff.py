@@ -243,3 +243,46 @@ class TestGradients:
             return ad.tensor_sum(ad.mul(s, x))
 
         check_grads(build, {"x": x, "w": w})
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self, rng):
+        w = ad.parameter(rng.normal(size=(3, 4)))
+        x = ad.constant(rng.normal(size=(2, 3)))
+        with ad.no_grad():
+            h = ad.softmax(ad.linear(x, w, ad.parameter(np.zeros(4))))
+            out = ad.tensor_sum(ad.layer_norm(h, ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))))
+        for t in (h, out):
+            assert t._parents == ()
+            assert t._backward is None
+            assert not t.requires_grad
+        with pytest.raises(ContractError):
+            ad.backward(out)
+
+    def test_finite_checks_stay_on(self):
+        with ad.no_grad(), pytest.raises(NonFiniteError, match="mul"):
+            ad.mul(ad.parameter([np.nan]), ad.constant([1.0]))
+
+    def test_flag_restored_after_nesting_and_exception(self):
+        x = ad.parameter([1.0, 2.0])
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.mul(x, x).requires_grad
+        assert ad.mul(x, x).requires_grad
+        with pytest.raises(RuntimeError), ad.no_grad():
+            raise RuntimeError("inside")
+        y = ad.mul(x, x)
+        assert y.requires_grad and y._parents == (x, x)
+
+    def test_flag_is_per_thread(self):
+        import threading
+
+        x = ad.parameter([1.0])
+        seen = []
+        with ad.no_grad():
+            t = threading.Thread(target=lambda: seen.append(ad.mul(x, x).requires_grad))
+            t.start()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [True]

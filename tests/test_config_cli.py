@@ -48,6 +48,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_text("d_model = 30\nheads = 4")
 
+    def test_conv_layers_outside_encoder_rejected(self):
+        for bad in ((5, -1), (2,), (0, 0)):
+            with pytest.raises(ConfigError, match="conv_layers"):
+                RunConfig(enc_layers=2, conv_layers=bad).validate()
+        with pytest.raises(ConfigError, match="conv_layers"):
+            parse_config_text("enc_layers = 2\nconv_layers = 0,2")
+        RunConfig().validate()
+        RunConfig(enc_layers=2, conv_layers=(0, 1)).validate()
+        RunConfig(enc_layers=3, conv_layers=(0, 2)).validate()
+
     def test_dict_roundtrip(self):
         cfg = RunConfig(d_model=64, conv_layers=(0, 2))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg

@@ -4,7 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _helpers import make_lead_corpus
+from convsum.config import RunConfig
+from convsum.data import encode_pairs, iter_texts
 from convsum.decoding import DecodingConfig, Hypothesis, beam_search, coverage_penalty
+from convsum.tokenizer import build_vocab
+from convsum.trainer import Trainer
 from convsum.errors import ContractError
 
 
@@ -181,3 +186,36 @@ class TestBeamSearch:
         a = beam_search(model, np.arange(3), cfg)
         b = beam_search(model, np.arange(3), cfg)
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def trained_gate():
+    """The desk-scale gate model (copy, conv layer 0) after 200 steps at batch 4."""
+    docs = make_lead_corpus(200, seed=101)
+    vocab = build_vocab(iter_texts(docs), 300)
+    cfg = RunConfig(
+        d_model=64, enc_layers=2, dec_layers=2, ff_size=128, heads=4,
+        token_kernel=13, head_kernel=3, conv_layers=(0,), dropout=0.1,
+        label_smoothing=0.1, copy=True, warmup=400, steps=200, batch_size=4,
+        seed=7, max_source_len=64,
+    )
+    trainer = Trainer(cfg, vocab, encode_pairs(docs, vocab, cfg))
+    trainer.train()
+    test_docs = make_lead_corpus(8, seed=202)
+    return trainer.model, [s for s, _ in encode_pairs(test_docs, vocab, cfg)]
+
+
+class TestCachedDecoding:
+    def test_same_tokens_as_full_prefix_adapter(self, trained_gate):
+        model, sources = trained_gate
+        # no start_decode: beam_search reruns decode_step over each full prefix
+        full_prefix = SimpleNamespace(
+            encode=model.encode, decode_step=model.decode_step, vocab=model.vocab
+        )
+        for cfg in (DecodingConfig(4, 1, 20), DecodingConfig(4, 20, 20),
+                    DecodingConfig(3, 2, 12, coverage_beta=0.5)):
+            got = [beam_search(model, s, cfg) for s in sources]
+            want = [beam_search(full_prefix, s, cfg) for s in sources]
+            assert got == want, cfg
+            if cfg.min_length == 1:  # some hypotheses finish with EOS
+                assert any(len(t) < cfg.max_length for t in got)

@@ -73,3 +73,26 @@ def test_lcs_known_cases():
     assert kernels.lcs_length(np.array([1, 2, 3, 4]), np.array([1, 3, 4])) == 3
     assert kernels.lcs_length(np.array([1, 2]), np.array([3, 4])) == 0
     assert kernels.lcs_length(np.array([], dtype=np.int64), np.array([1])) == 0
+
+
+def test_bench_kernels_times_numpy_only_without_numba(monkeypatch, capsys):
+    import importlib.util
+    import pathlib
+    import sys
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def undecorated_loop(*args):
+        raise AssertionError("timed the undecorated loop as numba")
+
+    monkeypatch.setattr(kernels, "USE_NUMBA", False)
+    for name in ("scatter_add_rows_nb", "scatter_add_cols_nb", "lcs_length_nb"):
+        monkeypatch.setattr(kernels, name, undecorated_loop)
+    monkeypatch.setattr(sys, "argv", ["bench_kernels.py", "--repeat", "1"])
+    bench.main()
+    out = capsys.readouterr().out
+    assert "numba inactive" in out
+    assert "speedup" not in out and "lcs_length" in out

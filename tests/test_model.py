@@ -9,7 +9,8 @@ from convsum.attention import AttentionConfig
 from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from convsum.config import RunConfig, build_model
 from convsum.errors import ConfigError, ContractError
-from convsum.model import ModelConfig, Summarizer
+from convsum.decoding import DecodingConfig, beam_search
+from convsum.model import ModelConfig, Summarizer, _sinusoid
 from convsum.optim import OptimizerState
 from convsum.providers import StubProvider
 from convsum.tokenizer import RESERVED, Vocab
@@ -117,6 +118,46 @@ class TestModelConfig:
     def test_conditioned_modes_require_provider(self, vocab):
         with pytest.raises(ConfigError):
             Summarizer(tiny_cfg(integration="stacking"), vocab, provider=None)
+
+    def test_conv_layers_must_be_distinct_encoder_layers(self):
+        for bad in ((5, -1), (1,), (-1,), (0, 0)):
+            att = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=bad)
+            with pytest.raises(ConfigError, match="conv_layers"):
+                tiny_cfg(enc_layers=1, attention=att)
+        for good in ((), (0,), (1, 0)):
+            att = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=good)
+            tiny_cfg(enc_layers=2, attention=att)
+
+
+class TestSinusoid:
+    @staticmethod
+    def direct(L, d):
+        """The table built at exactly L rows."""
+        angle = np.arange(L)[:, None] / np.power(10000.0, 2.0 * np.arange(d // 2)[None, :] / d)
+        pe = np.zeros((L, d))
+        pe[:, 0::2] = np.sin(angle)
+        pe[:, 1::2] = np.cos(angle)
+        return pe
+
+    def test_grown_table_slices_are_bitwise_the_direct_table(self):
+        for d in (6, 64):
+            for L in (3, 1, 40, 7, 129, 2, 300, 129):
+                got = _sinusoid(L, d)
+                assert got.shape == (L, d)
+                assert np.array_equal(got, self.direct(L, d)), (L, d)
+                # Python's ** and np.power may round differently in the last bit
+                assert np.abs(got - naive_sinusoid(L, d)).max() < 1e-12
+
+    def test_one_bounded_read_only_table_per_width(self):
+        from convsum import model as model_mod
+
+        for L in range(1, 200):
+            _sinusoid(L, 10)
+        table = model_mod._SINUSOID_TABLES[10]
+        assert 199 <= table.shape[0] < 2 * 199
+        assert _sinusoid(5, 10).base is table
+        with pytest.raises(ValueError):
+            _sinusoid(5, 10)[0, 0] = 1.0
 
 
 # --- encoder -----------------------------------------------------------------
@@ -456,3 +497,93 @@ class TestCheckpoint:
         other.d_model = 16
         with pytest.raises(ConfigError, match="d_model"):
             check_arch_compatible(ckpt.run_config, other)
+
+
+# --- incremental decoding ------------------------------------------------------
+
+
+def _decode_cases(vocab):
+    conv = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=(0,))
+    prov = StubProvider(len(vocab), width=8, max_window=16, seed=4)
+    from convsum.windowing import WindowingConfig
+
+    yield Summarizer(tiny_cfg(copy=True), vocab, seed=2)
+    yield Summarizer(tiny_cfg(copy=False), vocab, seed=3)
+    yield Summarizer(tiny_cfg(copy=True, enc_layers=2, dec_layers=3, attention=conv), vocab, seed=4)
+    yield Summarizer(tiny_cfg(integration="stacking", decoder_conditioned=True, copy=True),
+                     vocab, provider=prov, windowing=WindowingConfig(16, 8), seed=5)
+
+
+def _assert_matches_full_prefix(m, memory, src, prefixes, probs, attn):
+    for row, prefix in enumerate(prefixes):
+        want_p, want_a = m.decode_step(memory, src, prefix)
+        np.testing.assert_allclose(probs[row], want_p, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(attn[row], want_a, rtol=1e-10, atol=0)
+
+
+class TestIncrementalDecode:
+    def test_step_matches_decode_step_on_random_prefixes(self, vocab, rng):
+        for m in _decode_cases(vocab):
+            src = np.concatenate([[vocab.cls_id], rng.integers(6, len(vocab), size=5)])
+            memory = m.encode(src)
+            B, T = 3, 6
+            tokens = rng.integers(6, len(vocab), size=(B, T))
+            tokens[:, 0] = vocab.bos_id
+            state = m.start_decode(memory, src)
+            state.reorder([0] * B)
+            for t in range(T):
+                probs, attn = state.step(tokens[:, t])
+                assert probs.shape == (B, len(vocab)) and attn.shape == (B, src.size)
+                _assert_matches_full_prefix(m, memory, src, tokens[:, : t + 1], probs, attn)
+
+    def test_reorder_follows_swapped_parents(self, vocab):
+        m = Summarizer(tiny_cfg(copy=True, dec_layers=2), vocab, seed=8)
+        src = np.array([vocab.cls_id, 6, 7, 8])
+        memory = m.encode(src)
+        bos = vocab.bos_id
+        state = m.start_decode(memory, src)
+        state.step([bos])
+        state.reorder([0, 0])
+        state.step([9, 10])
+        state.reorder([1, 0, 1])  # swap the parents and duplicate one
+        probs, attn = state.step([11, 12, 13])
+        prefixes = [[bos, 10, 11], [bos, 9, 12], [bos, 10, 13]]
+        _assert_matches_full_prefix(m, memory, src, prefixes, probs, attn)
+
+    def test_records_no_tape(self, vocab):
+        m = Summarizer(tiny_cfg(copy=True), vocab, seed=2)
+        src = np.array([vocab.cls_id, 6, 7])
+        state = m.start_decode(m.encode(src), src)
+        state.step([vocab.bos_id])
+        k, v = state.cross_kv[0]
+        assert k._parents == () and k._backward is None and not k.requires_grad
+
+    def test_contract_violations(self, vocab):
+        m = Summarizer(tiny_cfg(copy=True), vocab, seed=2)
+        src = np.array([vocab.cls_id, 6, 7])
+        memory = m.encode(src)
+        with pytest.raises(ContractError):
+            m.start_decode(memory, src[:2])
+        with pytest.raises(ContractError, match="BOS"):
+            m.start_decode(memory, src).step([9])
+        state = m.start_decode(memory, src)
+        state.step([vocab.bos_id])
+        with pytest.raises(ContractError, match="rows"):
+            state.step([9, 10])
+        for rows in ([1], [-1], []):
+            with pytest.raises(ContractError, match="reorder"):
+                state.reorder(rows)
+
+    def test_train_step_after_decoding_matches_fresh_run(self, vocab, rng):
+        batch = _copy_batch(vocab, rng, 3)
+
+        def grads(decode_first: bool):
+            m = Summarizer(tiny_cfg(copy=True, dropout=0.1), vocab, seed=4)
+            if decode_first:
+                beam_search(m, batch[0][0], DecodingConfig(2, 1, 4))
+            m.train_step(batch, OptimizerState(d_model=8, warmup=10))
+            return {k: p.grad for k, p in m.params.items()}
+
+        fresh, after = grads(False), grads(True)
+        for k in fresh:
+            assert np.array_equal(fresh[k], after[k]), k
