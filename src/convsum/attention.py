@@ -6,15 +6,24 @@ Kernel widths are full odd window sizes: a token kernel of k_tok means each
 query attends to the k_tok-1 neighbors centered on it (clipped at sequence
 boundaries and renormalized, never padded); a head kernel of k_head means each
 head's keys/values are pooled with those of the k_head-1 adjacent heads.
+
+Convolutional attention is one fused, banded tape op. With w = min(k_tok,
+2L-1), each query scores only its k_head*w gathered keys, so a layer costs
+O(H*L*k_head*w*dk) time and O(H*L*k_head*w) weights, not O(H*k_head*L^2).
+Its weights come back as (H, L, k_head*w): slot u*w + o of row i is key
+i + o - (w-1)/2 in union head u, exactly 0 outside the sequence or the head
+range. When the window covers everything (k_head == 1 and k_tok >= 2L-1) the
+layer is plain `multi_head_attention`, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, linear, matmul, reshape, scale, softmax, take, transpose
+from .autodiff import Tensor, _acc, _result, linear, matmul, reshape, scale, softmax, transpose
 from .errors import ContractError
 
 
@@ -51,27 +60,25 @@ def head_union_indices(h: int, heads: int, head_kernel: int, circular: bool) -> 
     """Head indices pooled with head h, in offset order; clipped or wrapped."""
     if not 0 <= h < heads:
         raise ContractError(f"head index {h} out of range for {heads} heads")
+    idx, valid = _union_table(heads, head_kernel, circular)
+    return [int(j) for j in idx[h][valid[h]]]
+
+
+def _union_table(heads: int, head_kernel: int, circular: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(H, k_head) gather indices plus validity; clipped slots point at an edge
+    head and are masked. The one definition of the head window."""
     if head_kernel < 1 or head_kernel % 2 == 0:
         raise ContractError("head kernel must be odd and >= 1")
     if circular and head_kernel > heads:
         raise ContractError("circular head kernel larger than head count would duplicate heads")
     half = (head_kernel - 1) // 2
+    idx = np.arange(heads)[:, None] + np.arange(-half, half + 1)
     if circular:
-        return [(h + off) % heads for off in range(-half, half + 1)]
-    return [h + off for off in range(-half, half + 1) if 0 <= h + off < heads]
-
-
-def _union_table(heads: int, head_kernel: int, circular: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(H, k_head) gather indices plus validity; clipped slots point at 0 and are masked."""
-    half = (head_kernel - 1) // 2
-    offs = np.arange(-half, half + 1)
-    idx = np.arange(heads)[:, None] + offs[None, :]
-    if circular:
-        if head_kernel > heads:
-            raise ContractError("circular head kernel larger than head count would duplicate heads")
-        return idx % heads, np.ones((heads, head_kernel), dtype=bool)
-    valid = (idx >= 0) & (idx < heads)
-    return np.clip(idx, 0, heads - 1), valid
+        idx, valid = idx % heads, np.ones((heads, head_kernel), dtype=bool)
+    else:
+        valid = (idx >= 0) & (idx < heads)
+        idx = np.clip(idx, 0, heads - 1)
+    return idx, valid
 
 
 def attention_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
@@ -152,38 +159,145 @@ def multi_head_attention(
     return attend(query_in, *project_kv(kv_in, params, heads), params, heads, mask)
 
 
+@functools.lru_cache(maxsize=64)
+def _band_tables(length: int, heads: int, head_kernel: int, token_kernel: int, circular: bool):
+    """Read-only tables of the banded op for one (L, config), cached.
+
+    Returns (w, idx, bias, scatter): the window width w = min(k_tok, 2L-1);
+    the (H, k_head) head-union gather indices; the (L, H, k_head*w) score
+    bias, 0 where union slot u of head h is a real head and key i + o - half
+    lies in the sequence, -inf elsewhere; and the (H, H*k_head) 0/1 matrix
+    that sums each valid union slot's gradient back onto its source head.
+    """
+    w = min(token_kernel, 2 * length - 1)
+    half = (w - 1) // 2
+    idx, head_valid = _union_table(heads, head_kernel, circular)
+    key = np.arange(length)[:, None] + np.arange(-half, half + 1)
+    tok_valid = (key >= 0) & (key < length)
+    valid = head_valid[None, :, :, None] & tok_valid[:, None, None, :]
+    bias = np.where(valid, 0.0, -np.inf).reshape(length, heads, head_kernel * w)
+    scatter = np.zeros((heads, heads, head_kernel))
+    hs, us = np.nonzero(head_valid)
+    scatter[idx[hs, us], hs, us] = 1.0
+    scatter = scatter.reshape(heads, heads * head_kernel)
+    for table in (idx, bias, scatter):
+        table.flags.writeable = False
+    return w, idx, bias, scatter
+
+
+def _window(padded: np.ndarray, length: int, w: int) -> np.ndarray:
+    """View (length, ..., w) of a C-contiguous (length + w - 1, ...) array:
+    out[i, ..., o] = padded[i + o, ...]."""
+    return np.ndarray((length, *padded.shape[1:], w), padded.dtype, padded, 0,
+                      padded.strides + padded.strides[:1])
+
+
+def _unwindow(coef: np.ndarray, rows: np.ndarray, scatter: np.ndarray, half: int) -> np.ndarray:
+    """Adjoint of the windowed head-union gather.
+
+    coef (L, H, k_head, w) weighs rows (L, H, dk) of query i into union slot
+    u at key i + o - half; returns their sum at each key and source head,
+    (L, H, dk). Seen from key j, the queries are the window j - half + o',
+    and slot o = w-1-o' of each, so both read as strided views of padded
+    copies and the sum is one batched matmul: no scatter.
+    """
+    L, H, kk, w = coef.shape
+    cp = np.zeros((L + 2 * half, H, kk, w))
+    cp[half:half + L] = coef
+    rp = np.zeros((L + 2 * half, H, rows.shape[-1]))
+    rp[half:half + L] = rows
+    s0, s1, s2, s3 = cp.strides
+    skew = np.ndarray((L, H, kk, w, 1), cp.dtype, cp, (w - 1) * s3, (s0, s1, s2, s0 - s3, s3))
+    per_slot = np.matmul(_window(rp, L, w)[:, :, None], skew)  # (L, H, k_head, dk, 1)
+    return np.matmul(scatter, per_slot.reshape(L, H * kk, -1))
+
+
+def _band_attention(
+    q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig
+) -> tuple[Tensor, np.ndarray]:
+    """Fused banded attention over projected q, k, v (L, d).
+
+    Returns (context (L, d), weights (L, H, k_head*w)). Keys and values of
+    the head union are gathered once into zero-padded (L + w - 1, H, k_head,
+    dk) arrays; the token window is a strided view of them, so scores,
+    masked softmax and context cost O(H*L*k_head*w*dk). The weights carry no
+    gradient of their own.
+    """
+    L, d = q.shape
+    H, kk = cfg.heads, cfg.head_kernel
+    dk = d // H
+    w, idx, bias, scatter = _band_tables(L, H, kk, cfg.token_kernel, cfg.circular)
+    half = (w - 1) // 2
+    c = dk ** -0.5
+
+    def union_windows(t: np.ndarray) -> np.ndarray:  # (L, d) -> (L, H, k_head, dk, w)
+        u = np.zeros((L + 2 * half, H, kk, dk))
+        np.take(t.reshape(L, H, dk), idx, axis=1, out=u[half:half + L], mode="clip")
+        return _window(u, L, w)
+
+    q4 = q.data.reshape(L, H, dk)
+    kw, vw = union_windows(k.data), union_windows(v.data)
+    s = np.matmul(q4[:, :, None, None, :], kw).reshape(L, H, kk * w)
+    s *= c
+    s += bias
+    s -= s.max(axis=-1, keepdims=True)
+    weights = np.exp(s, out=s)  # masked slots: exp(-inf) = 0 exactly
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = np.matmul(vw, weights.reshape(L, H, kk, w, 1)).sum(axis=2).reshape(L, d)
+
+    def bwd(out):
+        g4 = out.grad.reshape(L, H, dk)
+        gw = np.matmul(g4[:, :, None, None, :], vw).reshape(L, H, kk * w)
+        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+        gs *= c
+        gs = gs.reshape(L, H, kk, w)
+        if q.requires_grad:
+            _acc(q, np.matmul(kw, gs[..., None]).sum(axis=2).reshape(L, d), "band_attention")
+        if k.requires_grad:
+            _acc(k, _unwindow(gs, q4, scatter, half).reshape(L, d), "band_attention")
+        if v.requires_grad:
+            _acc(v, _unwindow(weights.reshape(L, H, kk, w), g4, scatter, half).reshape(L, d),
+                 "band_attention")
+
+    out = _result(data, (q, k, v), None, "band_attention")
+    out._backward = (lambda: bwd(out)) if out.requires_grad else None
+    return out, weights
+
+
+def _full_to_band(weights: np.ndarray) -> np.ndarray:
+    """(H, L, L) attention weights in the band layout (H, L, 2L-1): column o
+    of row i holds key i + o - (L-1), zero where that falls outside."""
+    H, L, _ = weights.shape
+    padded = np.zeros((H, L, 3 * L - 2))
+    padded[:, :, L - 1:2 * L - 1] = weights
+    s0, s1, s2 = padded.strides
+    return np.ndarray((H, L, 2 * L - 1), padded.dtype, padded, 0, (s0, s1 + s2, s2))
+
+
 def conv_multi_head_attention(
     x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
 ) -> tuple[Tensor, Tensor]:
     """Convolutional self-attention over x (L, d).
 
     Per head h and position i, keys/values are gathered from the token window
-    across the head union; softmax runs over exactly that gathered set. The
-    gathered axis is laid out union-offset-major, token-minor. Returns
-    (output (L, d), weights (H, L, k_head*L)).
+    across the head union; softmax runs over exactly that gathered set.
+    Returns (output (L, d), weights (H, L, k_head*w)) with w = min(k_tok,
+    2L-1): weights[h, i, u*w + o] is the weight of key i + o - (w-1)/2 in
+    head union slot u, exactly 0 for slots outside the sequence or the head
+    range. The weights are a constant: no gradient flows through them.
+
+    When the window covers everything (k_head == 1, k_tok >= 2L-1) this is
+    `multi_head_attention`, bit for bit.
     """
     L, d = x.shape
     H = cfg.heads
     if d % H != 0:
         raise ContractError(f"model width {d} not divisible by {H} heads")
-    dk = d // H
-    q = _split_heads(linear(x, params["wq"], params["bq"]), H)
-    k = _split_heads(linear(x, params["wk"], params["bk"]), H)
-    v = _split_heads(linear(x, params["wv"], params["bv"]), H)
-
-    idx, valid = _union_table(H, cfg.head_kernel, cfg.circular)
-    kk = cfg.head_kernel
-    kg = take(k, idx)  # (H, kk, L, dk)
-    vg = take(v, idx)
-    qe = reshape(q, (H, 1, L, dk))
-    scores = scale(matmul(qe, transpose(kg, (0, 1, 3, 2))), dk ** -0.5)  # (H, kk, L, L)
-    scores = reshape(transpose(scores, (0, 2, 1, 3)), (H, L, kk * L))
-
-    band = token_window_mask(L, cfg.token_kernel)
-    mask = np.broadcast_to(band[None, None] & valid[:, :, None, None], (H, kk, L, L))
-    mask = np.transpose(mask, (0, 2, 1, 3)).reshape(H, L, kk * L)
-
-    weights = softmax(scores, mask)
-    ctx = matmul(weights, reshape(vg, (H, kk * L, dk)))  # (H, L, dk)
-    out = linear(_merge_heads(ctx), params["wo"], params["bo"])
-    return out, weights
+    if cfg.head_kernel == 1 and cfg.token_kernel >= 2 * L - 1:
+        out, weights = multi_head_attention(x, x, params, H)
+        return out, Tensor(_full_to_band(weights.data))
+    q = linear(x, params["wq"], params["bq"])
+    k = linear(x, params["wk"], params["bk"])
+    v = linear(x, params["wv"], params["bv"])
+    ctx, weights = _band_attention(q, k, v, cfg)
+    return linear(ctx, params["wo"], params["bo"]), Tensor(weights.transpose(1, 0, 2))

@@ -298,8 +298,10 @@ def take(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(out):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+            # The grad must be C-contiguous so that the reshape below is a view:
+            # on a grad laid out like a transposed input it would be a copy, and
+            # the scatter would land in the copy.
+            a.grad = np.zeros(a.data.shape) if a.grad is None else np.ascontiguousarray(a.grad)
             rows = out.grad.reshape(idx.size, -1)
             _check_finite("backward of 'take'", rows)
             kernels.scatter_add_rows(a.grad.reshape(a.data.shape[0], -1), idx.ravel(), rows)
@@ -347,18 +349,21 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Masked softmax over the last axis.
 
     mask is a boolean array broadcastable to x.shape; masked entries come out
-    exactly 0 and each row must keep at least one valid entry. mask=None runs
-    the same code with an all-valid mask so both paths are bit-identical.
+    exactly 0 and each row must keep at least one valid entry. mask=None skips
+    the masking passes; its result is bit-identical to an all-valid mask.
     """
     if mask is None:
-        m_arr = np.ones(x.data.shape, dtype=bool)
+        if x.data.shape[-1] == 0:
+            raise DegenerateInputError("softmax: fully masked row")
+        row_max = x.data.max(axis=-1, keepdims=True)
+        e = np.exp(x.data - row_max)
     else:
         m_arr = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
-    if not m_arr.any(axis=-1).all():
-        raise DegenerateInputError("softmax: fully masked row")
-    xm = np.where(m_arr, x.data, -np.inf)
-    row_max = xm.max(axis=-1, keepdims=True)
-    e = np.where(m_arr, np.exp(np.where(m_arr, x.data, row_max) - row_max), 0.0)
+        if not m_arr.any(axis=-1).all():
+            raise DegenerateInputError("softmax: fully masked row")
+        xm = np.where(m_arr, x.data, -np.inf)
+        row_max = xm.max(axis=-1, keepdims=True)
+        e = np.where(m_arr, np.exp(np.where(m_arr, x.data, row_max) - row_max), 0.0)
     denom = e.sum(axis=-1, keepdims=True)
     data = e / denom
 

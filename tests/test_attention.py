@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import check_grads
 from convsum import autodiff as ad
@@ -150,22 +152,42 @@ class TestConvAttention:
         assert np.allclose(out.data, v @ p["wo"].data + p["bo"].data)
 
     def test_weights_are_distributions_over_window(self, rng):
+        # compact layout (H, L, k_head*w): slot u*w + o of row i is key i + o - half
+        # in union head h + u - 1; rows sum to 1 and nothing falls outside the
+        # token window or the clipped head union
         H, L, d = 4, 6, 8
         x = ad.constant(rng.normal(size=(L, d)))
         p = attention_params(rng, d)
         cfg = AttentionConfig(heads=H, token_kernel=3, head_kernel=3, circular=False,
                               conv_layers=())
         _, w = conv_multi_head_attention(x, p, cfg)
+        assert w.shape == (H, L, 3 * 3)
         assert np.allclose(w.data.sum(-1), 1.0)
         band = token_window_mask(L, 3)
         for h in range(H):
-            union_mask = np.zeros((3, L), dtype=bool)  # offset slot x key position
-            half = 1
-            for u, off in enumerate(range(-half, half + 1)):
-                if 0 <= h + off < H:
-                    union_mask[u] = True
-            full = (union_mask[:, None, :] & band[None, :, :]).transpose(1, 0, 2).reshape(L, 3 * L)
-            assert np.all(w.data[h][~full] == 0.0)
+            for i in range(L):
+                for u, h_off in enumerate((-1, 0, 1)):
+                    for o, j_off in enumerate((-1, 0, 1)):
+                        j = i + j_off
+                        inside = 0 <= h + h_off < H and 0 <= j < L and band[i, j]
+                        if not inside:
+                            assert w.data[h, i, u * 3 + o] == 0.0
+                        else:
+                            assert w.data[h, i, u * 3 + o] > 0.0
+
+    def test_full_coverage_weights_in_band_layout(self, rng):
+        H, L, d = 2, 4, 8
+        x = ad.constant(rng.normal(size=(L, d)))
+        p = attention_params(rng, d)
+        cfg = AttentionConfig(heads=H, token_kernel=2 * L - 1, head_kernel=1, conv_layers=())
+        _, w = conv_multi_head_attention(x, p, cfg)
+        _, full = multi_head_attention(x, x, p, H)
+        assert w.shape == (H, L, 2 * L - 1)
+        for i in range(L):
+            for o in range(2 * L - 1):
+                j = i + o - (L - 1)
+                want = full.data[:, i, j] if 0 <= j < L else 0.0
+                assert np.array_equal(w.data[:, i, o], np.broadcast_to(want, (H,)))
 
     def test_locality_with_single_head_window(self, rng):
         # perturbing position j must not change output i when |i-j| > (k-1)/2
@@ -200,6 +222,25 @@ class TestConvAttention:
 
         check_grads(build, {"x": x, "wq": p["wq"], "wo": p["wo"], "bv": p["bv"]})
 
+    @pytest.mark.parametrize("circular", [False, True])
+    def test_gradients_key_value_projections(self, rng, circular):
+        # dk = 2: the keys and values of every union head reach the gradient
+        H, L, d = 4, 5, 8
+        x = ad.parameter(rng.normal(size=(L, d)))
+        p = attention_params(rng, d)
+        for name in ("bq", "bk", "bv"):
+            p[name].data[:] = rng.normal(size=d)
+        r = ad.constant(rng.normal(size=(L, d)))
+        cfg = AttentionConfig(heads=H, token_kernel=3, head_kernel=3, circular=circular,
+                              conv_layers=())
+
+        def build():
+            out, _ = conv_multi_head_attention(x, p, cfg)
+            return ad.tensor_sum(ad.mul(out, r))
+
+        check_grads(build, {"x": x, "wq": p["wq"], "wk": p["wk"], "wv": p["wv"],
+                            "bk": p["bk"], "bv": p["bv"]})
+
     def test_vanilla_attention_gradients(self, rng):
         L, d = 3, 4
         x = ad.parameter(rng.normal(size=(L, d)))
@@ -212,3 +253,56 @@ class TestConvAttention:
             return ad.tensor_sum(ad.mul(out, r))
 
         check_grads(build, {"x": x, "wk": p["wk"], "wv": p["wv"], "bo": p["bo"]})
+
+
+@st.composite
+def _band_cases(draw):
+    H = draw(st.integers(1, 4))
+    circular = draw(st.booleans())
+    k_head = draw(st.sampled_from([k for k in (1, 3, 5) if not circular or k <= H]))
+    return dict(
+        H=H,
+        dk=draw(st.integers(1, 3)),
+        L=draw(st.integers(1, 9)),
+        k_tok=draw(st.sampled_from([1, 3, 5, 7, 11, 19])),
+        k_head=k_head,
+        circular=circular,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestBandOp:
+    @settings(max_examples=60, deadline=None)
+    @given(_band_cases())
+    def test_matches_naive_oracle(self, case):
+        # includes k_tok > 2L-1 with k_head > 1, which takes the banded path
+        rng = np.random.default_rng(case["seed"])
+        H, L = case["H"], case["L"]
+        d = H * case["dk"]
+        x = ad.constant(rng.normal(size=(L, d)))
+        p = attention_params(rng, d)
+        for name in ("bq", "bk", "bv", "bo"):
+            p[name].data[:] = rng.normal(size=d)
+        cfg = AttentionConfig(heads=H, token_kernel=case["k_tok"], head_kernel=case["k_head"],
+                              circular=case["circular"], conv_layers=())
+        got, w = conv_multi_head_attention(x, p, cfg)
+        want = naive_conv_attention(x.data, _np_params(p), cfg)
+        assert np.abs(got.data - want).max() <= 1e-10 * np.abs(want).max()
+        assert w.shape == (H, L, case["k_head"] * min(case["k_tok"], 2 * L - 1))
+        assert np.allclose(w.data.sum(-1), 1.0)
+
+    @pytest.mark.parametrize("circular", [False, True])
+    def test_gradients_wide_window(self, rng, circular):
+        # k_tok > 2L-1 with k_head > 1: the window is clipped to w = 2L-1
+        H, L, d = 3, 3, 6
+        x = ad.parameter(rng.normal(size=(L, d)))
+        p = attention_params(rng, d)
+        r = ad.constant(rng.normal(size=(L, d)))
+        cfg = AttentionConfig(heads=H, token_kernel=9, head_kernel=3, circular=circular,
+                              conv_layers=())
+
+        def build():
+            out, _ = conv_multi_head_attention(x, p, cfg)
+            return ad.tensor_sum(ad.mul(out, r))
+
+        check_grads(build, {"x": x, "wq": p["wq"], "wk": p["wk"], "wv": p["wv"]})

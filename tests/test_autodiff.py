@@ -77,6 +77,22 @@ class TestSoftmax:
         b = ad.softmax(ad.constant(x), mask=np.ones((4, 7), dtype=bool))
         assert np.array_equal(a.data, b.data)
 
+    def test_none_mask_bitwise_with_gradients_on_extreme_rows(self, rng):
+        x = rng.normal(size=(3, 5, 64)) * np.array([1e-3, 1.0, 300.0])[:, None, None]
+        r = rng.normal(size=x.shape)
+        grads = []
+        for mask in (None, np.ones(x.shape, dtype=bool)):
+            t = ad.parameter(x.copy())
+            out = ad.softmax(t, mask)
+            ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(r))))
+            grads.append((out.data, t.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+
+    def test_empty_row_rejected_without_mask(self):
+        with pytest.raises(DegenerateInputError):
+            ad.softmax(ad.constant(np.zeros((2, 0))))
+
 
 class TestDropout:
     def test_identity_when_not_training(self, rng):
@@ -206,6 +222,20 @@ class TestGradients:
         check_grads(
             lambda: ad.tensor_sum(ad.mul(ad.embedding_lookup(table, ids), r)), {"table": table}
         )
+
+    def test_take_into_transposed_input(self, rng):
+        # the transposed node's grad is not C-contiguous; the scatter must still land
+        base = ad.parameter(rng.normal(size=(3, 4, 2)))
+        idx = np.array([[0, 2], [3, 3]])
+        r = _proj(rng, (2, 2, 3, 2))
+        r2 = _proj(rng, (4, 3, 2))
+
+        def build():
+            t = ad.transpose(base, (1, 0, 2))
+            return ad.add(ad.tensor_sum(ad.mul(ad.take(t, idx), r)),
+                          ad.tensor_sum(ad.mul(t, r2)))
+
+        check_grads(build, {"base": base})
 
     def test_scatter_probs(self, rng):
         attn = ad.parameter(rng.random((3, 5)) + 0.1)

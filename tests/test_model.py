@@ -439,6 +439,19 @@ class TestTrainStep:
             assert p.grad is not None, f"dead branch: {name}"
             assert np.all(np.isfinite(p.grad)), f"non-finite grad: {name}"
 
+    @pytest.mark.parametrize("circular", [False, True])
+    def test_conv_layer_key_value_projections_get_gradients(self, vocab, circular):
+        att = AttentionConfig(heads=4, token_kernel=3, head_kernel=3, circular=circular,
+                              conv_layers=(0,))
+        m = Summarizer(tiny_cfg(attention=att, copy=True), vocab, seed=2)
+        src = np.array([vocab.cls_id, 7, 9, 11, 8, 7])
+        tgt = np.array([vocab.bos_id, 9, 11, vocab.eos_id])
+        names = ("wk", "wv", "bk", "bv")
+        check_grads(
+            lambda: m.sequence_loss(src, tgt, training=False)[0],
+            {n: m.params[f"enc.0.att.{n}"] for n in names},
+        )
+
     def test_copy_task_loss_drops_below_20_percent(self, vocab, rng):
         att = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=(0,))
         cfg = tiny_cfg(
