@@ -13,7 +13,8 @@ O(H*L*k_head*w*dk) time and O(H*L*k_head*w) weights, not O(H*k_head*L^2).
 Its weights come back as (H, L, k_head*w): slot u*w + o of row i is key
 i + o - (w-1)/2 in union head u, exactly 0 outside the sequence or the head
 range. When the window covers everything (k_head == 1 and k_tok >= 2L-1) the
-layer is plain `multi_head_attention`, bit for bit.
+layer is plain `multi_head_attention`, bit for bit, and its weights are that
+function's dense (H, L, L).
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _band_attention(
     the head union are gathered once into zero-padded (L + w - 1, H, k_head,
     dk) arrays; the token window is a strided view of them, so scores,
     masked softmax and context cost O(H*L*k_head*w*dk). The weights carry no
-    gradient of their own.
+    gradient of their own; the backward reads them, so they are read-only.
     """
     L, d = q.shape
     H, kk = cfg.heads, cfg.head_kernel
@@ -243,6 +244,7 @@ def _band_attention(
     s -= s.max(axis=-1, keepdims=True)
     weights = np.exp(s, out=s)  # masked slots: exp(-inf) = 0 exactly
     weights /= weights.sum(axis=-1, keepdims=True)
+    weights.flags.writeable = False
     data = np.matmul(vw, weights.reshape(L, H, kk, w, 1)).sum(axis=2).reshape(L, d)
 
     def bwd(out):
@@ -264,16 +266,6 @@ def _band_attention(
     return out, weights
 
 
-def _full_to_band(weights: np.ndarray) -> np.ndarray:
-    """(H, L, L) attention weights in the band layout (H, L, 2L-1): column o
-    of row i holds key i + o - (L-1), zero where that falls outside."""
-    H, L, _ = weights.shape
-    padded = np.zeros((H, L, 3 * L - 2))
-    padded[:, :, L - 1:2 * L - 1] = weights
-    s0, s1, s2 = padded.strides
-    return np.ndarray((H, L, 2 * L - 1), padded.dtype, padded, 0, (s0, s1 + s2, s2))
-
-
 def conv_multi_head_attention(
     x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
 ) -> tuple[Tensor, Tensor]:
@@ -284,18 +276,19 @@ def conv_multi_head_attention(
     Returns (output (L, d), weights (H, L, k_head*w)) with w = min(k_tok,
     2L-1): weights[h, i, u*w + o] is the weight of key i + o - (w-1)/2 in
     head union slot u, exactly 0 for slots outside the sequence or the head
-    range. The weights are a constant: no gradient flows through them.
+    range. These weights are a read-only constant: no gradient flows
+    through them.
 
     When the window covers everything (k_head == 1, k_tok >= 2L-1) this is
-    `multi_head_attention`, bit for bit.
+    `multi_head_attention`, bit for bit, and the weights are its dense
+    (H, L, L) tensor.
     """
     L, d = x.shape
     H = cfg.heads
     if d % H != 0:
         raise ContractError(f"model width {d} not divisible by {H} heads")
     if cfg.head_kernel == 1 and cfg.token_kernel >= 2 * L - 1:
-        out, weights = multi_head_attention(x, x, params, H)
-        return out, Tensor(_full_to_band(weights.data))
+        return multi_head_attention(x, x, params, H)
     q = linear(x, params["wq"], params["bq"])
     k = linear(x, params["wk"], params["bk"])
     v = linear(x, params["wv"], params["bv"])

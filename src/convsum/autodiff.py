@@ -350,20 +350,19 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     mask is a boolean array broadcastable to x.shape; masked entries come out
     exactly 0 and each row must keep at least one valid entry. mask=None skips
-    the masking passes; its result is bit-identical to an all-valid mask.
+    the masking pass; its result is bit-identical to an all-valid mask.
     """
     if mask is None:
         if x.data.shape[-1] == 0:
             raise DegenerateInputError("softmax: fully masked row")
-        row_max = x.data.max(axis=-1, keepdims=True)
-        e = np.exp(x.data - row_max)
+        xm = x.data
     else:
         m_arr = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
         if not m_arr.any(axis=-1).all():
             raise DegenerateInputError("softmax: fully masked row")
         xm = np.where(m_arr, x.data, -np.inf)
-        row_max = xm.max(axis=-1, keepdims=True)
-        e = np.where(m_arr, np.exp(np.where(m_arr, x.data, row_max) - row_max), 0.0)
+    row_max = xm.max(axis=-1, keepdims=True)
+    e = np.exp(xm - row_max)  # masked slots: exp(-inf) = 0 exactly
     denom = e.sum(axis=-1, keepdims=True)
     data = e / denom
 
