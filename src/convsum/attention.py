@@ -15,11 +15,17 @@ i + o - (w-1)/2 in union head u, exactly 0 outside the sequence or the head
 range. When the window covers everything (k_head == 1 and k_tok >= 2L-1) the
 layer is plain `multi_head_attention`, bit for bit, and its weights are that
 function's dense (H, L, L).
+
+Every function takes leading batch axes. A padded batch passes a mask:
+`attend` and `multi_head_attention` a boolean mask broadcastable to
+(..., H, Lq, Lk), `conv_multi_head_attention` a key-padding mask (..., L).
+Unpadded inputs pass none.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +140,14 @@ def attend(
     """Scaled dot-product attention of query_in (..., Lq, d) over projected
     keys/values (..., H, Lk, dk); leading axes broadcast.
 
-    Optional boolean mask (Lq, Lk). Returns (output (..., Lq, d), attention
-    weights (..., H, Lq, Lk)).
+    Optional boolean mask broadcastable to (..., H, Lq, Lk): a causal (Lq, Lk)
+    mask, or a key-padding mask (B, 1, 1, Lk). Returns (output (..., Lq, d),
+    attention weights (..., H, Lq, Lk)).
     """
     q = _split_heads(linear(query_in, params["wq"], params["bq"]), heads)
     n = k.data.ndim
     scores = scale(matmul(q, transpose(k, (*range(n - 2), n - 1, n - 2))), q.shape[-1] ** -0.5)
-    weights = softmax(scores, mask if mask is None else mask[None, :, :])
+    weights = softmax(scores, mask)
     out = linear(_merge_heads(matmul(weights, v)), params["wo"], params["bo"])
     return out, weights
 
@@ -154,8 +161,9 @@ def multi_head_attention(
 ) -> tuple[Tensor, Tensor]:
     """Vanilla multi-head attention.
 
-    query_in (Lq, d), kv_in (Lk, d), optional boolean mask (Lq, Lk).
-    Returns (output (Lq, d), attention weights (H, Lq, Lk)).
+    query_in (..., Lq, d), kv_in (..., Lk, d), optional boolean mask
+    broadcastable to (..., H, Lq, Lk). Returns (output (..., Lq, d),
+    attention weights (..., H, Lq, Lk)).
     """
     return attend(query_in, *project_kv(kv_in, params, heads), params, heads, mask)
 
@@ -187,79 +195,100 @@ def _band_tables(length: int, heads: int, head_kernel: int, token_kernel: int, c
 
 
 def _window(padded: np.ndarray, length: int, w: int) -> np.ndarray:
-    """View (length, ..., w) of a C-contiguous (length + w - 1, ...) array:
-    out[i, ..., o] = padded[i + o, ...]."""
-    return np.ndarray((length, *padded.shape[1:], w), padded.dtype, padded, 0,
-                      padded.strides + padded.strides[:1])
+    """View (B, length, ..., w) of a C-contiguous (B, length + w - 1, ...) array:
+    out[b, i, ..., o] = padded[b, i + o, ...]."""
+    return np.ndarray((padded.shape[0], length, *padded.shape[2:], w), padded.dtype, padded, 0,
+                      padded.strides + padded.strides[1:2])
 
 
 def _unwindow(coef: np.ndarray, rows: np.ndarray, scatter: np.ndarray, half: int) -> np.ndarray:
     """Adjoint of the windowed head-union gather.
 
-    coef (L, H, k_head, w) weighs rows (L, H, dk) of query i into union slot
-    u at key i + o - half; returns their sum at each key and source head,
-    (L, H, dk). Seen from key j, the queries are the window j - half + o',
-    and slot o = w-1-o' of each, so both read as strided views of padded
-    copies and the sum is one batched matmul: no scatter.
+    coef (B, L, H, k_head, w) weighs rows (B, L, H, dk) of query i into
+    union slot u at key i + o - half; returns their sum at each key and
+    source head, (B, L, H, dk). Seen from key j, the queries are the window
+    j - half + o', and slot o = w-1-o' of each, so both read as strided
+    views of padded copies and the sum is one batched matmul: no scatter.
     """
-    L, H, kk, w = coef.shape
-    cp = np.zeros((L + 2 * half, H, kk, w))
-    cp[half:half + L] = coef
-    rp = np.zeros((L + 2 * half, H, rows.shape[-1]))
-    rp[half:half + L] = rows
-    s0, s1, s2, s3 = cp.strides
-    skew = np.ndarray((L, H, kk, w, 1), cp.dtype, cp, (w - 1) * s3, (s0, s1, s2, s0 - s3, s3))
-    per_slot = np.matmul(_window(rp, L, w)[:, :, None], skew)  # (L, H, k_head, dk, 1)
-    return np.matmul(scatter, per_slot.reshape(L, H * kk, -1))
+    B, L, H, kk, w = coef.shape
+    cp = np.zeros((B, L + 2 * half, H, kk, w))
+    cp[:, half:half + L] = coef
+    rp = np.zeros((B, L + 2 * half, H, rows.shape[-1]))
+    rp[:, half:half + L] = rows
+    s0, s1, s2, s3, s4 = cp.strides
+    skew = np.ndarray((B, L, H, kk, w, 1), cp.dtype, cp, (w - 1) * s4,
+                      (s0, s1, s2, s3, s1 - s4, s4))
+    per_slot = np.matmul(_window(rp, L, w)[:, :, :, None], skew)  # (B, L, H, k_head, dk, 1)
+    return np.matmul(scatter, per_slot.reshape(B, L, H * kk, -1))
+
+
+def _key_bias(key_mask: np.ndarray, w: int) -> np.ndarray:
+    """(B, L, w) score term of a key-padding mask (B, L): -inf where query i
+    is a real position and key i + o - half is padding, else 0. A padding
+    query keeps its whole window (its output is never read), so no row is
+    left without a key."""
+    B, L = key_mask.shape
+    half = (w - 1) // 2
+    padded = np.zeros((B, L + w - 1), dtype=bool)
+    padded[:, half:half + L] = key_mask
+    keep = _window(padded, L, w) | ~key_mask[:, :, None]
+    return np.where(keep, 0.0, -np.inf)
 
 
 def _band_attention(
-    q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig
+    q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig, key_mask: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
-    """Fused banded attention over projected q, k, v (L, d).
+    """Fused banded attention over projected q, k, v (..., L, d).
 
-    Returns (context (L, d), weights (L, H, k_head*w)). Keys and values of
-    the head union are gathered once into zero-padded (L + w - 1, H, k_head,
-    dk) arrays; the token window is a strided view of them, so scores,
-    masked softmax and context cost O(H*L*k_head*w*dk). The weights carry no
-    gradient of their own; the backward reads them, so they are read-only.
+    Returns (context (..., L, d), weights (B, L, H, k_head*w)) with B the
+    product of the leading axes. Keys and values of the head union are
+    gathered once into zero-padded (B, L + w - 1, H, k_head, dk) arrays; the
+    token window is a strided view of them, so scores, masked softmax and
+    context cost O(B*H*L*k_head*w*dk). An optional key-padding mask (..., L)
+    adds each example's own key validity to the cached bias, so a short
+    example's window clips at its own length. The weights carry no gradient
+    of their own; the backward reads them, so they are read-only.
     """
-    L, d = q.shape
+    *lead, L, d = q.shape
+    B = math.prod(lead)
     H, kk = cfg.heads, cfg.head_kernel
     dk = d // H
     w, idx, bias, scatter = _band_tables(L, H, kk, cfg.token_kernel, cfg.circular)
     half = (w - 1) // 2
     c = dk ** -0.5
+    if key_mask is not None:
+        keys = _key_bias(key_mask.reshape(B, L), w)[:, :, None, None, :]
+        bias = (bias.reshape(L, H, kk, w) + keys).reshape(B, L, H, kk * w)
 
-    def union_windows(t: np.ndarray) -> np.ndarray:  # (L, d) -> (L, H, k_head, dk, w)
-        u = np.zeros((L + 2 * half, H, kk, dk))
-        np.take(t.reshape(L, H, dk), idx, axis=1, out=u[half:half + L], mode="clip")
+    def union_windows(t: np.ndarray) -> np.ndarray:  # (..., L, d) -> (B, L, H, k_head, dk, w)
+        u = np.zeros((B, L + 2 * half, H, kk, dk))
+        np.take(t.reshape(B, L, H, dk), idx, axis=2, out=u[:, half:half + L], mode="clip")
         return _window(u, L, w)
 
-    q4 = q.data.reshape(L, H, dk)
+    q4 = q.data.reshape(B, L, H, dk)
     kw, vw = union_windows(k.data), union_windows(v.data)
-    s = np.matmul(q4[:, :, None, None, :], kw).reshape(L, H, kk * w)
+    s = np.matmul(q4[:, :, :, None, None, :], kw).reshape(B, L, H, kk * w)
     s *= c
     s += bias
     s -= s.max(axis=-1, keepdims=True)
     weights = np.exp(s, out=s)  # masked slots: exp(-inf) = 0 exactly
     weights /= weights.sum(axis=-1, keepdims=True)
     weights.flags.writeable = False
-    data = np.matmul(vw, weights.reshape(L, H, kk, w, 1)).sum(axis=2).reshape(L, d)
+    w6 = weights.reshape(B, L, H, kk, w, 1)
+    data = np.matmul(vw, w6).sum(axis=3).reshape(q.shape)
 
     def bwd(out):
-        g4 = out.grad.reshape(L, H, dk)
-        gw = np.matmul(g4[:, :, None, None, :], vw).reshape(L, H, kk * w)
+        g4 = out.grad.reshape(B, L, H, dk)
+        gw = np.matmul(g4[:, :, :, None, None, :], vw).reshape(B, L, H, kk * w)
         gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
         gs *= c
-        gs = gs.reshape(L, H, kk, w)
+        gs = gs.reshape(B, L, H, kk, w)
         if q.requires_grad:
-            _acc(q, np.matmul(kw, gs[..., None]).sum(axis=2).reshape(L, d), "band_attention")
+            _acc(q, np.matmul(kw, gs[..., None]).sum(axis=3).reshape(q.shape), "band_attention")
         if k.requires_grad:
-            _acc(k, _unwindow(gs, q4, scatter, half).reshape(L, d), "band_attention")
+            _acc(k, _unwindow(gs, q4, scatter, half).reshape(k.shape), "band_attention")
         if v.requires_grad:
-            _acc(v, _unwindow(weights.reshape(L, H, kk, w), g4, scatter, half).reshape(L, d),
-                 "band_attention")
+            _acc(v, _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape), "band_attention")
 
     out = _result(data, (q, k, v), None, "band_attention")
     out._backward = (lambda: bwd(out)) if out.requires_grad else None
@@ -267,30 +296,39 @@ def _band_attention(
 
 
 def conv_multi_head_attention(
-    x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
+    x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig,
+    key_mask: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Convolutional self-attention over x (L, d).
+    """Convolutional self-attention over x (..., L, d).
 
     Per head h and position i, keys/values are gathered from the token window
     across the head union; softmax runs over exactly that gathered set.
-    Returns (output (L, d), weights (H, L, k_head*w)) with w = min(k_tok,
-    2L-1): weights[h, i, u*w + o] is the weight of key i + o - (w-1)/2 in
-    head union slot u, exactly 0 for slots outside the sequence or the head
-    range. These weights are a read-only constant: no gradient flows
-    through them.
+    Returns (output (..., L, d), weights (..., H, L, k_head*w)) with w =
+    min(k_tok, 2L-1): weights[..., h, i, u*w + o] is the weight of key
+    i + o - (w-1)/2 in head union slot u, exactly 0 for slots outside the
+    sequence or the head range. These weights are a read-only constant: no
+    gradient flows through them.
+
+    key_mask (..., L) marks the real positions of a padded batch (None: no
+    padding). A real query's window then clips at its own example's length,
+    as if the example were alone; padding queries produce unused rows.
 
     When the window covers everything (k_head == 1, k_tok >= 2L-1) this is
     `multi_head_attention`, bit for bit, and the weights are its dense
-    (H, L, L) tensor.
+    (..., H, L, L) tensor.
     """
-    L, d = x.shape
+    *lead, L, d = x.shape
     H = cfg.heads
     if d % H != 0:
         raise ContractError(f"model width {d} not divisible by {H} heads")
+    if key_mask is not None and key_mask.shape != (*lead, L):
+        raise ContractError(f"key mask {key_mask.shape} does not match input {x.shape}")
     if cfg.head_kernel == 1 and cfg.token_kernel >= 2 * L - 1:
-        return multi_head_attention(x, x, params, H)
+        mask = None if key_mask is None else key_mask[..., None, None, :]
+        return multi_head_attention(x, x, params, H, mask)
     q = linear(x, params["wq"], params["bq"])
     k = linear(x, params["wk"], params["bk"])
     v = linear(x, params["wv"], params["bv"])
-    ctx, weights = _band_attention(q, k, v, cfg)
-    return linear(ctx, params["wo"], params["bo"]), Tensor(weights.transpose(1, 0, 2))
+    ctx, weights = _band_attention(q, k, v, cfg, key_mask)
+    weights = np.moveaxis(weights.reshape(*lead, L, H, -1), -2, -3)
+    return linear(ctx, params["wo"], params["bo"]), Tensor(weights)

@@ -6,6 +6,13 @@ order. Values are checked for NaN/Inf after every forward op and every
 backward contribution, and the offending op is named (fail-fast policy).
 Under `no_grad()` ops record nothing: forward-only work such as decoding
 builds no graph and leaves no reference cycles behind.
+
+A node's closure refers back to the node, so a recorded graph is a web of
+reference cycles. `backward` breaks them once it has run: it drops every
+node's closure, so the graph is freed by reference counting as soon as the
+caller lets go of the loss (a train step: when it returns), without waiting
+for the cyclic collector. A consumed graph cannot be run again; `backward`
+through any of its nodes raises.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ def _check_finite(op: str, arr: np.ndarray) -> None:
 class Tensor:
     """n-d float64 array with an optional same-shape gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -116,13 +123,18 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) ->
 
 
 def _acc(node: Tensor, g: np.ndarray, op: str) -> None:
-    """Accumulate a backward contribution into node.grad (only if it wants one)."""
+    """Accumulate a backward contribution into node.grad (only if it wants one).
+
+    The first contribution is copied, not added to zeros: one pass over
+    fresh memory instead of two. Every op passes g in its input's shape.
+    """
     if not node.requires_grad:
         return
     _check_finite(f"backward of '{op}'", g)
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += g
+        node.grad = np.array(g, dtype=np.float64)
+    else:
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -312,28 +324,36 @@ def take(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """table (V, d), ids (L,) int -> (L, d). Duplicate ids accumulate gradient."""
+    """table (V, d), ids (..., L) int -> (..., L, d). Duplicate ids accumulate gradient."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ContractError("embedding_lookup: ids must be 1-D")
+    if ids.ndim == 0:
+        raise ContractError("embedding_lookup: ids must have at least one axis")
     return take(table, ids)
 
 
 def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
-    """attn (T, L) -> (T, V) with out[t, src_ids[j]] += attn[t, j].
+    """attn (..., T, L) -> (..., T, V) with out[..., t, src_ids[..., j]] += attn[..., t, j].
 
-    Duplicate source tokens accumulate; row sums are preserved.
+    src_ids (..., L) has attn's leading axes: each batch row scatters onto
+    its own source tokens. Duplicate source tokens accumulate; row sums are
+    preserved.
     """
     src_ids = np.asarray(src_ids, dtype=np.int64)
-    if attn.data.ndim != 2 or src_ids.shape != (attn.data.shape[1],):
-        raise ContractError("scatter_probs: attn (T, L) and src_ids (L,) required")
+    shape = attn.data.shape
+    if len(shape) < 2 or src_ids.shape != shape[:-2] + shape[-1:]:
+        raise ContractError("scatter_probs: attn (..., T, L) and src_ids (..., L) required")
+    *lead, T, L = shape
     if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= vocab_size):
         raise ContractError("scatter_probs: source id out of vocab range")
-    data = np.zeros((attn.data.shape[0], vocab_size))
-    kernels.scatter_add_cols(data, src_ids, attn.data)
+    n = math.prod(lead)
+    data = np.zeros((*lead, T, vocab_size))
+    for rows, cols, w in zip(data.reshape(n, T, vocab_size), src_ids.reshape(n, L),
+                             attn.data.reshape(n, T, L)):
+        kernels.scatter_add_cols(rows, cols, w)
 
     def bwd(out):
-        _acc(attn, out.grad[:, src_ids], "scatter_probs")
+        gather = np.broadcast_to(src_ids[..., None, :], attn.data.shape)
+        _acc(attn, np.take_along_axis(out.grad, gather, axis=-1), "scatter_probs")
 
     out = _result(data, (attn,), None, "scatter_probs")
     out._backward = (lambda: bwd(out)) if out.requires_grad else None
@@ -519,8 +539,20 @@ def label_smoothed_nll(
 # -----------------------------------------------------------------------------
 
 
+def _consumed() -> None:
+    """The closure left on a node whose graph `backward` has already run."""
+
+
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires-grad tensor reachable from a scalar loss."""
+    """Populate .grad for every requires-grad tensor reachable from a scalar loss.
+
+    Consumes the graph: afterwards no node in it keeps its closure, so the
+    graph holds no reference cycle, and another `backward` through any of
+    its nodes raises. Parents stay: the graph lives as long as the loss
+    does, and is freed when the caller drops the loss. Freeing it here,
+    before the caller's optimizer update, makes the allocator hand its pages
+    back to the system, and the next step faults them in again.
+    """
     if loss.data.size != 1:
         raise ContractError("backward: loss must be a scalar")
     if not loss.requires_grad:
@@ -544,7 +576,14 @@ def backward(loss: Tensor) -> None:
                 state[id(node)] = 2
                 order.append(node)
 
+    if any(node._backward is _consumed for node in order):
+        raise ContractError("backward: the graph was already consumed by an earlier backward")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
+    try:
+        for node in reversed(order):
+            if node._backward is not None:
+                node._backward()
+    finally:
+        for node in order:
+            if node._backward is not None:
+                node._backward = _consumed

@@ -5,6 +5,7 @@ Round-trips are bit-exact (float64 arrays stored losslessly)."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class Checkpoint:
 def save_checkpoint(
     path: str, model: Summarizer, opt: OptimizerState, run_config: RunConfig
 ) -> None:
+    """Write the checkpoint atomically: into `path + ".tmp"`, synced to disk,
+    then renamed over `path`. A crash leaves either the old file or the new
+    one at `path`, never a partial one."""
     arrays: dict[str, np.ndarray] = {}
     for name, t in model.params.items():
         arrays[f"param:{name}"] = t.data
@@ -46,8 +50,17 @@ def save_checkpoint(
         "opt_step": opt.step,
         "rng_state": model.rng.bit_generator.state,
     }
-    with open(path, "wb") as f:
-        np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -94,6 +94,11 @@ def _sinusoid(length: int, d: int) -> np.ndarray:
     return table[:length]
 
 
+def _keys(src_mask: np.ndarray | None) -> np.ndarray | None:
+    """Attention mask (B, 1, 1, L) of a key-padding mask (B, L); None stays None."""
+    return None if src_mask is None else src_mask[..., None, None, :]
+
+
 def _linear_init(rng: np.random.Generator, din: int, dout: int) -> tuple[Tensor, Tensor]:
     lim = math.sqrt(6.0 / (din + dout))
     w = Tensor(rng.uniform(-lim, lim, (din, dout)), requires_grad=True)
@@ -205,13 +210,15 @@ class Summarizer:
     def _drop(self, x: Tensor, training: bool) -> Tensor:
         return ad.dropout(x, self.cfg.dropout, self.rng, training)
 
-    def _encoder_layer(self, x: Tensor, i: int, use_conv: bool, training: bool) -> Tensor:
+    def _encoder_layer(
+        self, x: Tensor, i: int, use_conv: bool, training: bool, src_mask: np.ndarray | None
+    ) -> Tensor:
         p = self.params
         att = self._block(f"enc.{i}.att")
         if use_conv:
-            a, _ = conv_multi_head_attention(x, att, self.cfg.attention)
+            a, _ = conv_multi_head_attention(x, att, self.cfg.attention, src_mask)
         else:
-            a, _ = multi_head_attention(x, x, att, self.cfg.attention.heads)
+            a, _ = multi_head_attention(x, x, att, self.cfg.attention.heads, _keys(src_mask))
         x = ad.layer_norm(x + self._drop(a, training), p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
         f = ad.linear(
             ad.relu(ad.linear(x, p[f"enc.{i}.ff.w1"], p[f"enc.{i}.ff.b1"])),
@@ -223,15 +230,25 @@ class Summarizer:
     def _learned_source_embedding(self, src_ids: np.ndarray, training: bool) -> Tensor:
         d = self.cfg.d_model
         e = ad.embedding_lookup(self.params["src_embed"], src_ids) * math.sqrt(d)
-        e = e + ad.constant(_sinusoid(len(src_ids), d))
+        e = e + ad.constant(_sinusoid(src_ids.shape[-1], d))
         return self._drop(e, training)
 
-    def _provider_context(self, src_ids: np.ndarray) -> Tensor:
-        ctx = encode_long(src_ids, self.provider, self.windowing)
+    def _provider_context(self, src_ids: np.ndarray, src_mask: np.ndarray | None) -> Tensor:
+        """Provider embeddings (..., L, width) of each source, zero on padding."""
+        rows = src_ids.reshape(-1, src_ids.shape[-1])
+        lengths = [rows.shape[1]] * len(rows) if src_mask is None else src_mask.sum(axis=-1)
+        ctx = np.zeros((*src_ids.shape, self.provider.width))
+        for out, ids, n in zip(ctx.reshape(len(rows), *ctx.shape[-2:]), rows, lengths):
+            out[:n] = encode_long(ids[:n], self.provider, self.windowing)
         return ad.constant(ctx)  # frozen: no gradient flows into the provider
 
-    def encode(self, src_ids, training: bool = False) -> Tensor:
-        """Source token ids -> memory (L, d_model) under the configured integration."""
+    def encode(self, src_ids, training: bool = False, src_mask: np.ndarray | None = None) -> Tensor:
+        """Source token ids (L,) -> memory (L, d_model) under the configured
+        integration; a padded batch (B, L) gives (B, L, d_model).
+
+        src_mask (B, L) marks a padded batch's real positions; every real
+        position then reads only its own example. None means no padding.
+        """
         src_ids = np.asarray(src_ids, dtype=np.int64)
         if src_ids.size == 0:
             raise ContractError("encode: zero-length input")
@@ -241,15 +258,15 @@ class Summarizer:
         if cfg.integration == "none":
             x = self._learned_source_embedding(src_ids, training)
             for i in range(cfg.enc_layers):
-                x = self._encoder_layer(x, i, i in conv_at, training)
+                x = self._encoder_layer(x, i, i in conv_at, training, src_mask)
             return x
 
         if cfg.integration == "stacking":
-            ctx = self._provider_context(src_ids)
+            ctx = self._provider_context(src_ids, src_mask)
             x = ad.linear(ctx, self.params["ctx_proj.w"], self.params["ctx_proj.b"])
             x = self._drop(x, training)
             for i in range(cfg.enc_layers):
-                x = self._encoder_layer(x, i, i in conv_at, training)
+                x = self._encoder_layer(x, i, i in conv_at, training, src_mask)
             return x
 
         # concatenation: conv branch over learned embeddings, provider branch raw,
@@ -257,14 +274,14 @@ class Summarizer:
         n_conv = cfg.conv_branch_layers
         a = self._learned_source_embedding(src_ids, training)
         for i in range(n_conv):
-            a = self._encoder_layer(a, i, True, training)
-        ctx = self._provider_context(src_ids)
+            a = self._encoder_layer(a, i, True, training, src_mask)
+        ctx = self._provider_context(src_ids, src_mask)
         x = ad.linear(
-            ad.concat([a, ctx], axis=1), self.params["cat_proj.w"], self.params["cat_proj.b"]
+            ad.concat([a, ctx], axis=-1), self.params["cat_proj.w"], self.params["cat_proj.b"]
         )
         x = self._drop(x, training)
         for i in range(n_conv, cfg.enc_layers):
-            x = self._encoder_layer(x, i, False, training)
+            x = self._encoder_layer(x, i, False, training, src_mask)
         return x
 
     # ------------------------------------------------------------------
@@ -272,7 +289,7 @@ class Summarizer:
     # ------------------------------------------------------------------
 
     def _target_embedding(self, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
-        """Decoder inputs (N, d) for target ids (N,) plus sinusoid rows pe (N or 1, d)."""
+        """Decoder inputs (..., N, d) for target ids (..., N) plus sinusoid rows pe (N or 1, d)."""
         p = self.params
         if self.cfg.decoder_conditioned:
             table = ad.constant(self.provider.token_table[ids])
@@ -288,16 +305,17 @@ class Summarizer:
         self_kv: tuple[Tensor, Tensor],
         cross_kv: tuple[Tensor, Tensor],
         mask: np.ndarray | None,
+        cross_mask: np.ndarray | None,
         training: bool,
     ) -> tuple[Tensor, Tensor]:
         """Decoder layer i on x (..., T, d) given its self-attention keys/values
-        and the cross-attention keys/values of memory; returns (output, cross
-        weights (..., H, T, L))."""
+        and the cross-attention keys/values of memory, with the masks of each
+        attention; returns (output, cross weights (..., H, T, L))."""
         p = self.params
         heads = self.cfg.attention.heads
         a, _ = attend(x, *self_kv, self._block(f"dec.{i}.self"), heads, mask)
         x = ad.layer_norm(x + self._drop(a, training), p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
-        c, cross_weights = attend(x, *cross_kv, self._block(f"dec.{i}.cross"), heads)
+        c, cross_weights = attend(x, *cross_kv, self._block(f"dec.{i}.cross"), heads, cross_mask)
         x = ad.layer_norm(x + self._drop(c, training), p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
         f = ad.linear(
             ad.relu(ad.linear(x, p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"])),
@@ -308,23 +326,31 @@ class Summarizer:
         return x, cross_weights
 
     def _decoder_states(
-        self, memory: Tensor, prefix_ids: np.ndarray, training: bool
+        self,
+        memory: Tensor,
+        prefix_ids: np.ndarray,
+        training: bool,
+        src_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Run the decoder stack; returns (states (T, d), last cross-attention (H, T, L))."""
+        """Run the decoder stack over prefixes (..., T) and memory (..., L, d);
+        returns (states (..., T, d), last cross-attention (..., H, T, L))."""
         prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-        T = len(prefix_ids)
+        T = prefix_ids.shape[-1]
         if T == 0:
             raise ContractError("decode: empty prefix")
-        if prefix_ids[0] != self.vocab.bos_id:
+        if (prefix_ids[..., 0] != self.vocab.bos_id).any():
             raise ContractError("decode: prefix must begin with BOS")
         x = self._target_embedding(prefix_ids, _sinusoid(T, self.cfg.d_model), training)
         causal = np.tril(np.ones((T, T), dtype=bool))
+        cross_mask = _keys(src_mask)
         heads = self.cfg.attention.heads
         cross_weights = None
         for i in range(self.cfg.dec_layers):
             self_kv = project_kv(x, self._block(f"dec.{i}.self"), heads)
             cross_kv = project_kv(memory, self._block(f"dec.{i}.cross"), heads)
-            x, cross_weights = self._decoder_layer(x, i, self_kv, cross_kv, causal, training)
+            x, cross_weights = self._decoder_layer(
+                x, i, self_kv, cross_kv, causal, cross_mask, training
+            )
         return x, cross_weights
 
     def pointer_generator(
@@ -333,28 +359,35 @@ class Summarizer:
         memory: Tensor,
         src_ids: np.ndarray,
         force_gate: float | None = None,
+        src_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor, Tensor]:
         """Mix a copy distribution over source tokens with the generator softmax.
 
-        Returns (gate (T, 1), mixed distribution (T, V), copy attention (T, L)).
-        The gate multiplies the copy side; duplicate source tokens accumulate
-        their attention mass onto the shared vocabulary id.
+        decoder_states (..., T, d) over memory (..., L, d) and src_ids (..., L);
+        returns (gate (..., T, 1), mixed distribution (..., T, V), copy
+        attention (..., T, L)). The gate multiplies the copy side; duplicate
+        source tokens accumulate their attention mass onto the shared
+        vocabulary id. src_mask (..., L) keeps the copy attention of a padded
+        batch off its padding.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        if memory.shape[0] != src_ids.size:
+        if memory.shape[-2] != src_ids.shape[-1]:
             raise ContractError("pointer_generator: memory length must match source ids")
         p = self.params
         d = self.cfg.d_model
+        n = memory.data.ndim
         q = ad.linear(decoder_states, p["copy.wq"], p["copy.bq"])
-        attn = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(memory, (1, 0))), d ** -0.5))
+        scores = ad.scale(ad.matmul(q, ad.transpose(memory, (*range(n - 2), n - 1, n - 2))),
+                          d ** -0.5)
+        attn = ad.softmax(scores, None if src_mask is None else src_mask[..., None, :])
         context = ad.matmul(attn, memory)
         if force_gate is None:
             gate = ad.sigmoid(
-                ad.linear(ad.concat([decoder_states, context], axis=1),
+                ad.linear(ad.concat([decoder_states, context], axis=-1),
                           p["copy.gate.w"], p["copy.gate.b"])
             )
         else:
-            gate = ad.constant(np.full((decoder_states.shape[0], 1), float(force_gate)))
+            gate = ad.constant(np.full((*decoder_states.shape[:-1], 1), float(force_gate)))
         p_copy = ad.scatter_probs(attn, src_ids, len(self.vocab))
         p_soft = ad.softmax(ad.linear(decoder_states, p["gen.w"], p["gen.b"]))
         one_minus = ad.add(ad.scale(gate, -1.0), ad.constant(1.0))
@@ -362,24 +395,36 @@ class Summarizer:
         return gate, mixed, attn
 
     def _output_head(
-        self, states: Tensor, cross: Tensor, memory: Tensor, src_ids: np.ndarray
+        self,
+        states: Tensor,
+        cross: Tensor,
+        memory: Tensor,
+        src_ids: np.ndarray,
+        src_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Next-token distributions (N, V) plus source attention (N, L) for
-        decoder states (N, d); `cross` is the last layer's cross-attention
-        weights (..., H, N, L), which give the attention when there is no copy layer."""
+        """Next-token distributions (..., N, V) plus source attention (..., N, L)
+        for decoder states (..., N, d); `cross` is the last layer's
+        cross-attention weights (..., H, N, L), which give the attention when
+        there is no copy layer."""
         if self.cfg.copy:
-            _, mixed, attn = self.pointer_generator(states, memory, src_ids)
+            _, mixed, attn = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
             return mixed, attn
         probs = ad.softmax(ad.linear(states, self.params["gen.w"], self.params["gen.b"]))
         mean_cross = ad.scale(ad.tensor_sum(cross, axis=-3), 1.0 / self.cfg.attention.heads)
-        return probs, ad.reshape(mean_cross, (states.shape[0], memory.shape[0]))
+        return probs, ad.reshape(mean_cross, (*states.shape[:-1], memory.shape[-2]))
 
     def _output_distribution(
-        self, memory: Tensor, src_ids: np.ndarray, prefix_ids: np.ndarray, training: bool
+        self,
+        memory: Tensor,
+        src_ids: np.ndarray,
+        prefix_ids: np.ndarray,
+        training: bool,
+        src_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Full-prefix distributions (T, V) plus per-position source attention (T, L)."""
-        states, cross = self._decoder_states(memory, prefix_ids, training)
-        return self._output_head(states, cross, memory, src_ids)
+        """Full-prefix distributions (..., T, V) plus per-position source
+        attention (..., T, L)."""
+        states, cross = self._decoder_states(memory, prefix_ids, training, src_mask)
+        return self._output_head(states, cross, memory, src_ids, src_mask)
 
     def decode_step(
         self, memory: Tensor, src_ids, prefix_ids, training: bool = False
@@ -404,52 +449,76 @@ class Summarizer:
     # training
     # ------------------------------------------------------------------
 
-    def sequence_loss(self, src_ids, tgt_ids, training: bool = True) -> tuple[Tensor, int]:
-        """Teacher-forced loss for one (source, BOS..EOS target) pair.
+    def pad_batch(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source ids, BOS..EOS target ids) pairs -> sources (B, L_max), source
+        lengths (B,) and targets (B, T_max), each padded with PAD."""
+        if not batch:
+            raise ContractError("train_step: empty batch")
+        pad, bos = self.vocab.pad_id, self.vocab.bos_id
+        srcs = [np.asarray(s, dtype=np.int64) for s, _ in batch]
+        tgts = [np.asarray(t, dtype=np.int64) for _, t in batch]
+        if any(s.ndim != 1 or s.size == 0 for s in srcs):
+            raise ContractError("encode: zero-length input")
+        if any(t.ndim != 1 or t.size < 2 or t[0] != bos for t in tgts):
+            raise ContractError("sequence_loss: target must be BOS/EOS-wrapped")
+        lengths = np.array([s.size for s in srcs])
+        src = np.full((len(batch), lengths.max()), pad, dtype=np.int64)
+        tgt = np.full((len(batch), max(t.size for t in tgts)), pad, dtype=np.int64)
+        for b, (s, t) in enumerate(zip(srcs, tgts)):
+            src[b, :s.size] = s
+            tgt[b, :t.size] = t
+        return src, lengths, tgt
 
-        Returns (mean loss over target tokens, target token count).
+    def sequence_loss(
+        self, src_ids, tgt_ids, training: bool = True, src_lengths=None
+    ) -> tuple[Tensor, int]:
+        """Teacher-forced loss for one (source (L,), BOS..EOS target (T,)) pair,
+        or for a padded batch of them as one graph: sources (B, L) with their
+        lengths src_lengths (B,), and PAD-padded targets (B, T).
+
+        Returns (mean loss over the non-pad target tokens, their count): for a
+        batch, the token-weighted mean of its pairs' losses. A batch whose
+        sources all have length L builds no mask.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
-        if tgt_ids.size < 2 or tgt_ids[0] != self.vocab.bos_id:
+        if tgt_ids.shape[-1] < 2 or (tgt_ids[..., 0] != self.vocab.bos_id).any():
             raise ContractError("sequence_loss: target must be BOS/EOS-wrapped")
-        memory = self.encode(src_ids, training)
-        tgt_in, tgt_out = tgt_ids[:-1], tgt_ids[1:]
-        smoothing, pad = self.cfg.label_smoothing, self.vocab.pad_id
+        src_mask, L = None, src_ids.shape[-1]
+        if src_lengths is not None:
+            lengths = np.asarray(src_lengths)
+            if lengths.shape != src_ids.shape[:-1] or lengths.min() < 1 or lengths.max() > L:
+                raise ContractError(f"sequence_loss: source lengths must lie in [1, {L}]")
+            if (lengths < L).any():
+                src_mask = np.arange(L) < lengths[..., None]
+        memory = self.encode(src_ids, training, src_mask)
+        tgt_in, tgt_out = tgt_ids[..., :-1], tgt_ids[..., 1:]
+        smoothing, pad, V = self.cfg.label_smoothing, self.vocab.pad_id, len(self.vocab)
         if self.cfg.copy:
-            probs, _ = self._output_distribution(memory, src_ids, tgt_in, training)
-            loss = ad.label_smoothed_nll(probs, tgt_out, smoothing, pad)
+            probs, _ = self._output_distribution(memory, src_ids, tgt_in, training, src_mask)
+            loss = ad.label_smoothed_nll(
+                ad.reshape(probs, (-1, V)), tgt_out.ravel(), smoothing, pad
+            )
         else:
-            states, _ = self._decoder_states(memory, tgt_in, training)
+            states, _ = self._decoder_states(memory, tgt_in, training, src_mask)
             logits = ad.linear(states, self.params["gen.w"], self.params["gen.b"])
-            loss = ad.label_smoothed_cross_entropy(logits, tgt_out, smoothing, pad)
+            loss = ad.label_smoothed_cross_entropy(
+                ad.reshape(logits, (-1, V)), tgt_out.ravel(), smoothing, pad
+            )
         return loss, int((tgt_out != pad).sum())
 
     def train_step(self, batch, opt_state) -> tuple[float, float]:
         """One optimizer update on a batch of (source ids, BOS..EOS target ids).
 
-        Loss is the token-weighted mean over the batch. Returns (loss, lr).
+        The batch is padded and runs as one graph. Loss is the token-weighted
+        mean over the batch. Returns (loss, lr).
         """
-        if not batch:
-            raise ContractError("train_step: empty batch")
+        src, lengths, tgt = self.pad_batch(batch)
         zero_grads(self.params)
-        losses: list[tuple[Tensor, int]] = []
-        for src, tgt in batch:
-            losses.append(self.sequence_loss(src, tgt, training=True))
-        total_tokens = sum(n for _, n in losses)
-        if total_tokens == 0:
-            total = losses[0][0]
-            for item, _ in losses[1:]:
-                total = total + item
-            total = ad.scale(total, 0.0)
-        else:
-            total = None
-            for item, n in losses:
-                part = ad.scale(item, n / total_tokens)
-                total = part if total is None else total + part
-        ad.backward(total)
+        loss, _ = self.sequence_loss(src, tgt, True, lengths)
+        ad.backward(loss)
         lr = adam_noam_step(opt_state, self.params)
-        return total.item(), lr
+        return loss.item(), lr
 
 
 class DecoderState:
@@ -494,7 +563,7 @@ class DecoderState:
                     k = ad.constant(np.concatenate([self.keys[i], k.data], axis=2))
                     v = ad.constant(np.concatenate([self.values[i], v.data], axis=2))
                 self.keys[i], self.values[i] = k.data, v.data
-                x, cross = m._decoder_layer(x, i, (k, v), self.cross_kv[i], None, False)
+                x, cross = m._decoder_layer(x, i, (k, v), self.cross_kv[i], None, None, False)
             probs, attn = m._output_head(ad.reshape(x, (B, d)), cross, self.memory, self.src_ids)
         self.pos += 1
         self.rows = B

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +32,32 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+class _Scratch(threading.local):
+    # Two flat work buffers, grown to the largest parameter seen and shared by
+    # all parameters: fresh temporaries would be freed and re-faulted every
+    # step. Per thread, so concurrent optimizers do not share them.
+    a = np.empty(0)
+    b = np.empty(0)
+
+
+_scratch = _Scratch()
+
+
+def _work_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    n = int(np.prod(shape))
+    if _scratch.a.size < n:
+        _scratch.a, _scratch.b = np.empty(n), np.empty(n)
+    return _scratch.a[:n].reshape(shape), _scratch.b[:n].reshape(shape)
+
+
 def adam_noam_step(state: OptimizerState, params: dict[str, Tensor]) -> float:
     """Apply one Adam update with the scheduled rate; returns the rate used.
 
     Parameters with no gradient are skipped; a non-finite gradient aborts the
-    whole update before any parameter is touched.
+    whole update before any parameter is touched. The update runs in place
+    over two shared work buffers, in the operation order of
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so results are bitwise
+    those of that expression.
     """
     for name, p in params.items():
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
@@ -55,11 +77,21 @@ def adam_noam_step(state: OptimizerState, params: dict[str, Tensor]) -> float:
         if m.shape != p.data.shape:
             raise ContractError(f"adam_noam_step: moment shape mismatch for '{name}'")
         g = p.grad
+        a, b = _work_buffers(m.shape)
+        np.multiply(g, 1.0 - state.beta1, out=a)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        p.data -= a
     return lr
 
 

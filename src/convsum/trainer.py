@@ -92,11 +92,13 @@ class Trainer:
 
     def run(self) -> list[tuple[int, float, float]]:
         """Full training per config: lock the checkpoint dir, log every step,
-        checkpoint every `checkpoint_every` steps and at the end."""
+        checkpoint every `checkpoint_every` steps and at the end. A run
+        resumed from an earlier checkpoint first drops the log rows past it."""
         os.makedirs(self.cfg.checkpoint_dir, exist_ok=True)
         rows: list[tuple[int, float, float]] = []
         with DirectoryLock(self.cfg.checkpoint_dir):
             log_path = os.path.join(self.cfg.checkpoint_dir, LOG_NAME)
+            _truncate_log(log_path, self.opt.step)
             with open(log_path, "a", encoding="utf-8") as log:
                 while self.opt.step < self.cfg.steps:
                     next_stop = min(
@@ -110,6 +112,30 @@ class Trainer:
 
     def save(self, path: str) -> None:
         save_checkpoint(path, self.model, self.opt, self.cfg)
+
+
+def _truncate_log(path: str, step: int) -> None:
+    """Keep only the complete loss-log rows of steps <= step; rewrites the
+    file atomically, and only when a row goes."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except FileNotFoundError:
+        return
+
+    def keep(line: str) -> bool:
+        head = line.split("\t", 1)[0]
+        return line.endswith("\n") and head.isdigit() and int(head) <= step
+
+    kept = [line for line in lines if keep(line)]
+    if len(kept) == len(lines):
+        return
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(kept)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 def evaluate_model(

@@ -28,6 +28,18 @@ class TestBasics:
         assert c.grad is None
         assert np.array_equal(x.grad, [3.0, 4.0])
 
+    def test_backward_consumes_the_graph(self):
+        x = ad.parameter([1.0, 2.0, 3.0])
+        sq = ad.mul(x, x)
+        loss = ad.tensor_sum(sq)
+        ad.backward(loss)
+        assert sq._backward is loss._backward  # one shared placeholder: no cycles
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(ad.tensor_sum(ad.scale(sq, 2.0)))  # reaches a consumed node
+        assert np.array_equal(x.grad, [2.0, 4.0, 6.0])  # nothing accumulated twice
+
     def test_backward_requires_scalar(self):
         x = ad.parameter([[1.0, 2.0]])
         with pytest.raises(ContractError):

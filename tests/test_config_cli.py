@@ -148,6 +148,19 @@ class TestTrainer:
         for k in solo.model.params:
             assert np.array_equal(second.model.params[k].data, solo.model.params[k].data)
 
+    def test_resume_from_earlier_checkpoint_keeps_one_log_row_per_step(self, tmp_path):
+        docs, vocab, cfg = _toy_setup(tmp_path, steps=10)
+        pairs = encode_pairs(docs, vocab, cfg)
+        Trainer(cfg, vocab, pairs).run()
+        log = tmp_path / "ckpt" / "loss.tsv"
+        first = log.read_text().splitlines()
+        assert [int(r.split("\t")[0]) for r in first] == list(range(1, 11))
+
+        resumed = Trainer(cfg, vocab, pairs, resume_from=str(tmp_path / "ckpt" / "ckpt-5.npz"))
+        resumed.run()
+        assert log.read_text().splitlines() == first
+        assert not (tmp_path / "ckpt" / "loss.tsv.tmp").exists()
+
     def test_resume_with_wrong_arch_refused(self, tmp_path):
         docs, vocab, cfg = _toy_setup(tmp_path, steps=4)
         pairs = encode_pairs(docs, vocab, cfg)

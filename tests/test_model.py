@@ -498,6 +498,33 @@ class TestCheckpoint:
         assert opt2.step == opt.step
         assert restored.rng.bit_generator.state == model.rng.bit_generator.state
 
+    def test_crash_while_saving_leaves_the_previous_file_intact(
+        self, vocab, rng, tmp_path, monkeypatch
+    ):
+        from convsum import checkpoint
+
+        cfg = self._run_config(tmp_path)
+        model, opt = build_model(cfg, vocab)
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, model, opt, cfg)
+        before = (tmp_path / "ck.npz").read_bytes()
+
+        real_savez = np.savez
+
+        def crash_partway(f, **arrays):
+            f.write(b"PK\x03\x04 partial archive")
+            raise OSError("disk full")
+
+        model.train_step(_copy_batch(vocab, rng, 2), opt)
+        monkeypatch.setattr(checkpoint.np, "savez", crash_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, opt, cfg)
+        monkeypatch.setattr(checkpoint.np, "savez", real_savez)
+
+        assert (tmp_path / "ck.npz").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+        assert load_checkpoint(path).opt_step == 0
+
     def test_mismatched_config_refused(self, vocab, rng, tmp_path):
         cfg = self._run_config(tmp_path)
         model, opt = build_model(cfg, vocab)

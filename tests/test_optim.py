@@ -78,3 +78,61 @@ class TestAdam:
         p.grad = np.ones(2)
         zero_grads({"p": p})
         assert p.grad is None
+
+
+def _reference_adam(state, params, m, v):
+    """The out-of-place update formula, on moment dicts of its own."""
+    lr = noam_rate(state.d_model, state.warmup, state.step)
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        m.setdefault(name, np.zeros_like(p.data))
+        v.setdefault(name, np.zeros_like(p.data))
+        g = p.grad
+        m[name] *= state.beta1
+        m[name] += (1.0 - state.beta1) * g
+        v[name] *= state.beta2
+        v[name] += (1.0 - state.beta2) * (g * g)
+        p.data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps)
+
+
+class TestInPlaceAdam:
+    # "enc.0.ln1.g" never has a gradient, "gen.b" on every other step only
+    NEVER, SOMETIMES = "enc.0.ln1.g", "gen.b"
+
+    def _steps(self, rng, model, opt, ref_params, ref_m, ref_v, n):
+        for step in range(n):
+            for name, p in model.params.items():
+                skip = name == self.NEVER or (name == self.SOMETIMES and step % 2 == 0)
+                g = None if skip else rng.normal(size=p.data.shape)
+                p.grad = g
+                ref_params[name].grad = None if g is None else g.copy()
+            adam_noam_step(opt, model.params)
+            _reference_adam(opt, ref_params, ref_m, ref_v)
+            for name, p in model.params.items():
+                assert np.array_equal(p.data, ref_params[name].data), name
+            for name in ref_m:
+                assert np.array_equal(opt.m[name], ref_m[name]), name
+                assert np.array_equal(opt.v[name], ref_v[name]), name
+
+    def test_bitwise_equal_to_the_out_of_place_formula_across_a_restore(self, rng, tmp_path):
+        from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
+        from convsum.config import RunConfig, build_model
+        from convsum.tokenizer import RESERVED, Vocab
+
+        vocab = Vocab(list(RESERVED) + [f"w{i}" for i in range(10)])
+        cfg = RunConfig(d_model=8, enc_layers=1, dec_layers=1, ff_size=16, heads=2,
+                        token_kernel=3, head_kernel=1, conv_layers=(), copy=True, warmup=3)
+        model, opt = build_model(cfg, vocab)
+        ref = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in model.params.items()}
+        ref_m, ref_v = {}, {}
+        self._steps(rng, model, opt, ref, ref_m, ref_v, 4)
+        assert self.NEVER not in opt.m and self.SOMETIMES in opt.m
+
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, model, opt, cfg)
+        restored, opt2 = restore_model(load_checkpoint(path))
+        self._steps(rng, restored, opt2, ref, ref_m, ref_v, 4)
+        assert opt2.step == 8
