@@ -1,6 +1,6 @@
 """convsum: desk-scale abstractive summarization.
 
-A small numpy/numba stack: reverse-mode tensor engine, convolutional
+A small numpy stack: reverse-mode tensor engine, convolutional
 (local) self-attention Transformer encoder-decoder with a copy output layer,
 sliding-window conditioning on frozen embedding providers, beam-search
 decoding, and ROUGE evaluation.

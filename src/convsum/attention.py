@@ -290,9 +290,7 @@ def _band_attention(
         if v.requires_grad:
             _acc(v, _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape), "band_attention")
 
-    out = _result(data, (q, k, v), None, "band_attention")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out, weights
+    return _result(data, (q, k, v), bwd, "band_attention"), weights
 
 
 def conv_multi_head_attention(

@@ -111,13 +111,15 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
+def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
+    """The op's output node. `bwd(out)` pushes out.grad into the parents; a
+    recorded node keeps it bound to itself as the zero-argument `_backward`."""
     _check_finite(op, data)
     out = Tensor(data)
     out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
-        out._backward = backward
+        out._backward = lambda: bwd(out)
     out.op = op
     return out
 
@@ -165,9 +167,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, _unbroadcast(out.grad, a.data.shape), "add")
         _acc(b, _unbroadcast(out.grad, b.data.shape), "add")
 
-    out = _result(data, (a, b), None, "add")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a, b), bwd, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -180,9 +180,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, _unbroadcast(out.grad * b.data, a.data.shape), "mul")
         _acc(b, _unbroadcast(out.grad * a.data, b.data.shape), "mul")
 
-    out = _result(data, (a, b), None, "mul")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a, b), bwd, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -191,9 +189,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bwd(out):
         _acc(a, out.grad * c, "scale")
 
-    out = _result(data, (a,), None, "scale")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -209,9 +205,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, _unbroadcast(ga, a.data.shape), "matmul")
         _acc(b, _unbroadcast(gb, b.data.shape), "matmul")
 
-    out = _result(data, (a, b), None, "matmul")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a, b), bwd, "matmul")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -221,9 +215,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     def bwd(out):
         _acc(a, np.transpose(out.grad, inv), "transpose")
 
-    out = _result(data, (a,), None, "transpose")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "transpose")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -235,9 +227,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd(out):
         _acc(a, out.grad.reshape(a.data.shape), "reshape")
 
-    out = _result(data, (a,), None, "reshape")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "reshape")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -253,9 +243,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(lo, hi)
             _acc(t, out.grad[tuple(sl)], "concat")
 
-    out = _result(data, tuple(tensors), None, "concat")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, tuple(tensors), bwd, "concat")
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -267,9 +255,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _acc(a, np.broadcast_to(g, a.data.shape).copy(), "sum")
 
-    out = _result(data, (a,), None, "sum")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "sum")
 
 
 def relu(a: Tensor) -> Tensor:
@@ -278,9 +264,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(out):
         _acc(a, out.grad * (a.data > 0.0), "relu")
 
-    out = _result(data, (a,), None, "relu")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "relu")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -291,9 +275,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(out):
         _acc(a, out.grad * data * (1.0 - data), "sigmoid")
 
-    out = _result(data, (a,), None, "sigmoid")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "sigmoid")
 
 
 # -----------------------------------------------------------------------------
@@ -318,9 +300,7 @@ def take(a: Tensor, idx: np.ndarray) -> Tensor:
             _check_finite("backward of 'take'", rows)
             kernels.scatter_add_rows(a.grad.reshape(a.data.shape[0], -1), idx.ravel(), rows)
 
-    out = _result(data, (a,), None, "take")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (a,), bwd, "take")
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -355,9 +335,7 @@ def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
         gather = np.broadcast_to(src_ids[..., None, :], attn.data.shape)
         _acc(attn, np.take_along_axis(out.grad, gather, axis=-1), "scatter_probs")
 
-    out = _result(data, (attn,), None, "scatter_probs")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (attn,), bwd, "scatter_probs")
 
 
 # -----------------------------------------------------------------------------
@@ -391,9 +369,7 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         dot = (g * data).sum(axis=-1, keepdims=True)
         _acc(x, data * (g - dot), "softmax")
 
-    out = _result(data, (x,), None, "softmax")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (x,), bwd, "softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -420,9 +396,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             )
             _acc(x, gx_hat * inv + dvar * 2.0 * xc / d + dmu / d, "layer_norm")
 
-    out = _result(data, (x, gain, bias), None, "layer_norm")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (x, gain, bias), bwd, "layer_norm")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -447,9 +421,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
     def bwd(out):
         _acc(x, out.grad * keep, "dropout")
 
-    out = _result(data, (x,), None, "dropout")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (x,), bwd, "dropout")
 
 
 # -----------------------------------------------------------------------------
@@ -495,9 +467,7 @@ def label_smoothed_cross_entropy(
         q[np.arange(T), ids] += 1.0 - smoothing
         _acc(logits, (p - q) * (w / count)[:, None] * out.grad, "label_smoothed_cross_entropy")
 
-    out = _result(data, (logits,), None, "label_smoothed_cross_entropy")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (logits,), bwd, "label_smoothed_cross_entropy")
 
 
 def label_smoothed_nll(
@@ -529,9 +499,7 @@ def label_smoothed_nll(
         g = np.where(probs.data > floor, -q / p, 0.0)
         _acc(probs, g * (w / count)[:, None] * out.grad, "label_smoothed_nll")
 
-    out = _result(data, (probs,), None, "label_smoothed_nll")
-    out._backward = (lambda: bwd(out)) if out.requires_grad else None
-    return out
+    return _result(data, (probs,), bwd, "label_smoothed_nll")
 
 
 # -----------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import data
 from .checkpoint import load_checkpoint, restore_model
 from .config import SCHEMA, RunConfig, check_arch_compatible, load_config, parse_value
-from .decoding import beam_search
+from .decoding import DecodingConfig, beam_search
 from .errors import (
     ConfigError,
     ContractError,
@@ -26,7 +27,7 @@ from .rouge import format_report, lead_tail_analysis, split_sentences
 from .tokenizer import Vocab, build_vocab, detokenize
 from .trainer import Trainer, evaluate_model
 
-_DECODING_KEYS = ("beam_size", "min_length", "max_length", "coverage_beta")
+_DECODING_KEYS = tuple(f.name for f in fields(DecodingConfig))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys=None) -> None:

@@ -8,10 +8,11 @@ integer list (empty string for none).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 from .attention import AttentionConfig
 from .decoding import DecodingConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelConfig, Summarizer
 from .optim import OptimizerState
 from .providers import EmbeddingProvider, StubProvider
@@ -100,10 +101,17 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
-        """Construct every sub-config so invalid combinations fail eagerly."""
-        self.model_config()
-        self.windowing_config()
-        self.decoding_config()
+        """Construct every sub-config so invalid combinations fail eagerly.
+
+        A sub-config's own ContractError is re-raised as a ConfigError: here
+        the bad value came from a config file or a flag.
+        """
+        try:
+            self.model_config()
+            self.windowing_config()
+            self.decoding_config()
+        except ContractError as e:
+            raise ConfigError(str(e)) from e
         if self.provider not in ("none", "stub"):
             raise ConfigError(f"unknown provider '{self.provider}' (expected 'none' or 'stub')")
         return self
@@ -124,23 +132,12 @@ class RunConfig:
         return cls(**d)
 
 
-# key -> parser kind; this is the documented schema for config files and flags
+# key -> parser kind, from RunConfig's annotations; this is the documented
+# schema for config files and flags ("ints": a comma-separated int list)
+_KINDS = {int: "int", float: "float", bool: "bool", str: "str", tuple: "ints"}
 SCHEMA: dict[str, str] = {
-    "seed": "int", "vocab": "str", "corpus": "str", "checkpoint_dir": "str",
-    "steps": "int", "batch_size": "int", "checkpoint_every": "int",
-    "max_source_len": "int", "full_text": "bool",
-    "d_model": "int", "enc_layers": "int", "dec_layers": "int", "ff_size": "int",
-    "heads": "int", "token_kernel": "int", "head_kernel": "int", "circular": "bool",
-    "conv_layers": "ints", "dropout": "float", "label_smoothing": "float",
-    "integration": "str", "copy": "bool", "decoder_conditioned": "bool",
-    "provider": "str", "provider_width": "int", "provider_window": "int",
-    "provider_seed": "int", "window": "int", "stride": "int",
-    "warmup": "int", "beta1": "float", "beta2": "float", "adam_eps": "float",
-    "beam_size": "int", "min_length": "int", "max_length": "int",
-    "coverage_beta": "float",
+    name: _KINDS[kind] for name, kind in get_type_hints(RunConfig).items()
 }
-
-assert set(SCHEMA) == {f.name for f in fields(RunConfig)}
 
 
 def parse_value(key: str, raw: str, kind: str):

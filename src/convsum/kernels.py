@@ -1,138 +1,54 @@
-"""Hot numeric kernels: numba-jitted with pure-numpy fallbacks.
+"""Hot numeric kernels, one numpy implementation each.
 
-The jitted path is used when numba imports cleanly, unless CONVSUM_NUMBA=0
-(or "false"/"off") is set in the environment. Both implementations are kept
-importable (`*_nb` / `*_py`) so tests and benchmarks/bench_kernels.py can
-compare them directly. Accumulation order is identical on both paths, so
-results are bit-equal, not just close.
+Callers reach them through the module (`kernels.<name>`), so a profiler can
+wrap them in one place.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Hashable, Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
+# Always False: there is no jitted path. Kept because benchmarks/perf/run.py
+# records it in every run's environment.
+USE_NUMBA = False
 
 
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("CONVSUM_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """out[idx[k]] += rows[k] (embedding/gather backward).
 
-
-USE_NUMBA = _NUMBA_OK and _env_wants_numba()
-
-
-# -----------------------------------------------------------------------------
-# scatter-add of rows: out[idx[k]] += rows[k]   (embedding/gather backward)
-# -----------------------------------------------------------------------------
-
-
-def scatter_add_rows_py(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """out (N, D), idx (K,) int, rows (K, D). In place; duplicate ids accumulate."""
+    out (N, D), idx (K,) int, rows (K, D). In place; duplicate ids accumulate.
+    """
     np.add.at(out, idx, rows)
 
 
-@njit(cache=True)
-def scatter_add_rows_nb(out, idx, rows):  # pragma: no cover - exercised via dispatch
-    K, D = rows.shape
-    for k in range(K):
-        r = idx[k]
-        for j in range(D):
-            out[r, j] += rows[k, j]
+def scatter_add_cols(out: np.ndarray, cols: np.ndarray, w: np.ndarray) -> None:
+    """out[t, cols[j]] += w[t, j] (copy-distribution forward).
 
-
-# -----------------------------------------------------------------------------
-# column scatter: out[t, cols[j]] += w[t, j]   (copy-distribution forward)
-# -----------------------------------------------------------------------------
-
-
-def scatter_add_cols_py(out: np.ndarray, cols: np.ndarray, w: np.ndarray) -> None:
-    """out (T, V), cols (L,) int, w (T, L). In place; duplicate columns accumulate."""
+    out (T, V), cols (L,) int, w (T, L). In place; duplicate columns accumulate.
+    """
     T, L = w.shape
     rows = np.repeat(np.arange(T), L)
     np.add.at(out, (rows, np.tile(cols, T)), w.ravel())
 
 
-@njit(cache=True)
-def scatter_add_cols_nb(out, cols, w):  # pragma: no cover - exercised via dispatch
-    T, L = w.shape
-    for t in range(T):
-        for j in range(L):
-            out[t, cols[j]] += w[t, j]
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of a and b (ROUGE-L).
 
-
-# -----------------------------------------------------------------------------
-# longest common subsequence length (ROUGE-L)
-# -----------------------------------------------------------------------------
-
-
-def lcs_length_py(a: np.ndarray, b: np.ndarray) -> int:
-    """a (n,), b (m,) int arrays -> LCS length. Two-row DP."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return 0
-    prev = np.zeros(m + 1, dtype=np.int64)
-    curr = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            if ai == b[j]:
-                curr[j + 1] = prev[j] + 1
-            else:
-                curr[j + 1] = max(prev[j + 1], curr[j])
-        prev, curr = curr, prev
-    return int(prev[m])
-
-
-@njit(cache=True)
-def lcs_length_nb(a, b):  # pragma: no cover - exercised via dispatch
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return 0
-    prev = np.zeros(m + 1, dtype=np.int64)
-    curr = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            if ai == b[j]:
-                curr[j + 1] = prev[j] + 1
-            else:
-                if prev[j + 1] >= curr[j]:
-                    curr[j + 1] = prev[j + 1]
-                else:
-                    curr[j + 1] = curr[j]
-        tmp = prev
-        prev = curr
-        curr = tmp
-    return int(prev[m])
-
-
-if USE_NUMBA:
-    scatter_add_rows = scatter_add_rows_nb
-    scatter_add_cols = scatter_add_cols_nb
-    lcs_length = lcs_length_nb
-else:
-    scatter_add_rows = scatter_add_rows_py
-    scatter_add_cols = scatter_add_cols_py
-    lcs_length = lcs_length_py
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs so timings and tests pay it once."""
-    out = np.zeros((2, 2))
-    scatter_add_rows(out, np.array([0, 1]), np.ones((2, 2)))
-    scatter_add_cols(out, np.array([0, 0]), np.ones((2, 2)))
-    lcs_length(np.array([1, 2]), np.array([2, 1]))
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): one Python-int bit per
+    item of the longer sequence, one add/subtract per item of the shorter.
+    A zero bit i of `row` marks a step of the DP row at a[i], so the LCS is
+    the number of zero bits.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    match: dict[Hashable, int] = {}
+    for i, x in enumerate(a):
+        match[x] = match.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    row = full
+    for y in b:
+        u = row & match.get(y, 0)
+        row = ((row + u) | (row - u)) & full
+    return len(a) - row.bit_count()

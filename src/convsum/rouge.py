@@ -46,11 +46,7 @@ def rouge_n(candidate: Sequence[Hashable], reference: Sequence[Hashable], n: int
 
 def rouge_l(candidate: Sequence[Hashable], reference: Sequence[Hashable]) -> RougeScore:
     """Longest-common-subsequence F1."""
-    if not candidate or not reference:
-        return RougeScore.from_counts(0.0, len(candidate), len(reference))
-    table: dict[Hashable, int] = {}
-    enc = lambda seq: np.array([table.setdefault(t, len(table)) for t in seq], dtype=np.int64)
-    lcs = kernels.lcs_length(enc(candidate), enc(reference))
+    lcs = kernels.lcs_length(candidate, reference)
     return RougeScore.from_counts(float(lcs), len(candidate), len(reference))
 
 

@@ -1,10 +1,6 @@
 import numpy as np
 import pytest
 
-from convsum import kernels
-
-kernels.warmup()  # pay JIT compilation once, before any timed test
-
 
 @pytest.fixture
 def rng():

@@ -299,6 +299,20 @@ class TestCliTrainAndUse:
         assert code == 0
         assert "rouge1_f1=" in capsys.readouterr().out
 
+    def test_invalid_sub_config_value_is_config_error(self, trained, capsys):
+        # The attention and decoding configs reject these values themselves;
+        # reached from a config file or a flag they are config errors (exit 2).
+        tmp_path, docs, vocab, cfg = trained
+        test_path = tmp_path / "test_bad_flag.jsonl"
+        save_jsonl(str(test_path), docs[:1])
+        for argv in (
+            ["train", "--config", str(tmp_path / "run.cfg"), "--token-kernel", "4"],
+            ["evaluate", "--checkpoint", str(tmp_path / "ckpt" / "ckpt-10.npz"),
+             "--test", str(test_path), "--beam-size", "0"],
+        ):
+            assert cli.main(argv) == 2
+            assert "error[config]" in capsys.readouterr().err
+
     def test_leadtail_head_beats_tail(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained
         corpus = tmp_path / "lead.jsonl"
