@@ -343,6 +343,30 @@ def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
+def _softmax_fwd(s: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of scores s plus an optional additive bias
+    (0 keeps a slot, -inf masks it; broadcast onto s). Masked slots come out
+    exactly 0; a row left with no slot raises. The forward core of every
+    softmax and attention op; `_softmax_bwd` is its backward.
+    """
+    if s.shape[-1] == 0:
+        raise DegenerateInputError("softmax: fully masked row")
+    if bias is not None:
+        s = s + bias
+    row_max = np.maximum.reduce(s, axis=-1, keepdims=True)
+    if bias is not None and np.minimum.reduce(row_max, axis=None) == -np.inf:
+        raise DegenerateInputError("softmax: fully masked row")
+    e = s - row_max
+    np.exp(e, out=e)  # masked slots: exp(-inf) = 0 exactly
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_bwd(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the scores of softmax weights w, given the weights' gradient g."""
+    return w * (g - (g * w).sum(axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Masked softmax over the last axis.
 
@@ -350,24 +374,11 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     exactly 0 and each row must keep at least one valid entry. mask=None skips
     the masking pass; its result is bit-identical to an all-valid mask.
     """
-    if mask is None:
-        if x.data.shape[-1] == 0:
-            raise DegenerateInputError("softmax: fully masked row")
-        xm = x.data
-    else:
-        m_arr = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
-        if not m_arr.any(axis=-1).all():
-            raise DegenerateInputError("softmax: fully masked row")
-        xm = np.where(m_arr, x.data, -np.inf)
-    row_max = xm.max(axis=-1, keepdims=True)
-    e = np.exp(xm - row_max)  # masked slots: exp(-inf) = 0 exactly
-    denom = e.sum(axis=-1, keepdims=True)
-    data = e / denom
+    bias = None if mask is None else np.where(np.broadcast_to(mask, x.data.shape), 0.0, -np.inf)
+    data = _softmax_fwd(x.data, bias)
 
     def bwd(out):
-        g = out.grad
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        _acc(x, data * (g - dot), "softmax")
+        _acc(x, _softmax_bwd(data, out.grad), "softmax")
 
     return _result(data, (x,), bwd, "softmax")
 
@@ -377,9 +388,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ContractError("layer_norm: gain/bias must have shape (d,)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d  # bitwise `mean`, without its wrapper
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = gain.data * xhat + bias.data
@@ -400,11 +411,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x (..., din) @ weight (din, dout) + bias (dout,)."""
-    out = matmul(x, weight)
+    """x (..., din) @ weight (din, dout) + bias (dout,), as one op.
+
+    The forward makes the same numpy calls as `add(matmul(x, weight), bias)`,
+    so its values are bitwise theirs. The backward skips inputs that want no
+    gradient, and takes the weight gradient as one 2-D GEMM over the
+    flattened rows.
+    """
+    din, dout = weight.data.shape if weight.data.ndim == 2 else (None, None)
+    if x.data.shape[-1:] != (din,) or (bias is not None and bias.data.shape != (dout,)):
+        raise ContractError(f"linear: incompatible shapes {x.shape}, {weight.shape}, "
+                            f"{None if bias is None else bias.shape}")
+    data = np.matmul(x.data, weight.data)
     if bias is not None:
-        out = add(out, bias)
-    return out
+        data += bias.data
+
+    def bwd(out):
+        g = out.grad
+        if x.requires_grad:
+            _acc(x, np.matmul(g, weight.data.T), "linear")
+        if weight.requires_grad:
+            rows = x.data.reshape(-1, din)
+            _acc(weight, np.matmul(rows.T, g.reshape(-1, dout)), "linear")
+        if bias is not None and bias.requires_grad:
+            _acc(bias, g.reshape(-1, dout).sum(axis=0), "linear")
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(data, parents, bwd, "linear")
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

@@ -27,10 +27,12 @@ def scatter_add_cols(out: np.ndarray, cols: np.ndarray, w: np.ndarray) -> None:
     """out[t, cols[j]] += w[t, j] (copy-distribution forward).
 
     out (T, V), cols (L,) int, w (T, L). In place; duplicate columns accumulate.
+    One `np.bincount` over the flat indices t*V + cols[j] sums each cell's
+    weights in j order, as `np.add.at` would, and adds the sums into out.
     """
-    T, L = w.shape
-    rows = np.repeat(np.arange(T), L)
-    np.add.at(out, (rows, np.tile(cols, T)), w.ravel())
+    T, V = out.shape
+    flat = (np.arange(T)[:, None] * V + cols).ravel()
+    out += np.bincount(flat, w.ravel(), minlength=T * V).reshape(T, V)
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:

@@ -343,11 +343,10 @@ class Summarizer:
         x = self._target_embedding(prefix_ids, _sinusoid(T, self.cfg.d_model), training)
         causal = np.tril(np.ones((T, T), dtype=bool))
         cross_mask = _keys(src_mask)
-        heads = self.cfg.attention.heads
         cross_weights = None
         for i in range(self.cfg.dec_layers):
-            self_kv = project_kv(x, self._block(f"dec.{i}.self"), heads)
-            cross_kv = project_kv(memory, self._block(f"dec.{i}.cross"), heads)
+            self_kv = project_kv(x, self._block(f"dec.{i}.self"))
+            cross_kv = project_kv(memory, self._block(f"dec.{i}.cross"))
             x, cross_weights = self._decoder_layer(
                 x, i, self_kv, cross_kv, causal, cross_mask, training
             )
@@ -410,8 +409,8 @@ class Summarizer:
             _, mixed, attn = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
             return mixed, attn
         probs = ad.softmax(ad.linear(states, self.params["gen.w"], self.params["gen.b"]))
-        mean_cross = ad.scale(ad.tensor_sum(cross, axis=-3), 1.0 / self.cfg.attention.heads)
-        return probs, ad.reshape(mean_cross, (*states.shape[:-1], memory.shape[-2]))
+        mean_cross = cross.data.sum(axis=-3) * (1.0 / self.cfg.attention.heads)  # a constant
+        return probs, ad.constant(mean_cross.reshape(*states.shape[:-1], memory.shape[-2]))
 
     def _output_distribution(
         self,
@@ -524,7 +523,7 @@ class Summarizer:
 class DecoderState:
     """Incremental decoding of B hypotheses over one source, one per batch row.
 
-    Keeps each decoder layer's self-attention keys/values (B, H, t, dk) for the
+    Keeps each decoder layer's self-attention keys/values (B, t, d) for the
     t tokens fed so far, and the cross-attention keys/values of memory,
     projected once. `step` feeds one token per row (BOS first) and runs the
     decoder stack and output layer on those B positions only; `reorder` makes
@@ -535,11 +534,9 @@ class DecoderState:
         if memory.shape[0] != src_ids.size:
             raise ContractError("start_decode: memory length must match source ids")
         self.model, self.memory, self.src_ids = model, memory, src_ids
-        heads, n = model.cfg.attention.heads, model.cfg.dec_layers
+        n = model.cfg.dec_layers
         with ad.no_grad():
-            self.cross_kv = [
-                project_kv(memory, model._block(f"dec.{i}.cross"), heads) for i in range(n)
-            ]
+            self.cross_kv = [project_kv(memory, model._block(f"dec.{i}.cross")) for i in range(n)]
         self.keys: list[np.ndarray | None] = [None] * n
         self.values: list[np.ndarray | None] = [None] * n
         self.pos = 0
@@ -549,19 +546,19 @@ class DecoderState:
         """Feed last_tokens (B,); returns (probabilities (B, V), source attention (B, L))."""
         m = self.model
         ids = np.asarray(last_tokens, dtype=np.int64).reshape(-1)
-        B, d, heads = ids.size, m.cfg.d_model, m.cfg.attention.heads
+        B, d = ids.size, m.cfg.d_model
         if self.pos == 0 and not (ids == m.vocab.bos_id).all():
             raise ContractError("decode: the first step must feed BOS")
         if self.pos > 0 and B != self.rows:
             raise ContractError(f"decode: {B} tokens fed to {self.rows} rows")
         with ad.no_grad():
             pe = _sinusoid(self.pos + 1, d)[self.pos:]
-            x = ad.reshape(m._target_embedding(ids, pe, False), (B, 1, d))
+            x = m._target_embedding(ids[:, None], pe, False)  # (B, 1, d)
             for i in range(m.cfg.dec_layers):
-                k, v = project_kv(x, m._block(f"dec.{i}.self"), heads)
+                k, v = project_kv(x, m._block(f"dec.{i}.self"))
                 if self.pos > 0:
-                    k = ad.constant(np.concatenate([self.keys[i], k.data], axis=2))
-                    v = ad.constant(np.concatenate([self.values[i], v.data], axis=2))
+                    k = ad.constant(np.concatenate([self.keys[i], k.data], axis=1))
+                    v = ad.constant(np.concatenate([self.values[i], v.data], axis=1))
                 self.keys[i], self.values[i] = k.data, v.data
                 x, cross = m._decoder_layer(x, i, (k, v), self.cross_kv[i], None, None, False)
             probs, attn = m._output_head(ad.reshape(x, (B, d)), cross, self.memory, self.src_ids)

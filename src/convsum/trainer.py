@@ -20,17 +20,40 @@ LOG_NAME = "loss.tsv"
 
 
 class DirectoryLock:
-    """Exclusive ownership of a checkpoint directory via an O_EXCL lock file."""
+    """Exclusive ownership of a checkpoint directory via an O_EXCL lock file
+    that holds the owner's pid. A taken lock is never taken over: the error
+    says whether its pid still runs, and removing a stale lock is the user's
+    call."""
 
     def __init__(self, directory: str):
         self.path = os.path.join(directory, LOCK_NAME)
+
+    def _holder(self) -> str:
+        """What the pid in the lock file says about the run that holds it."""
+        try:
+            with open(self.path) as f:
+                text = f.read().strip()
+        except OSError as e:
+            return f"lock file unreadable: {e.strerror}"
+        if not text:
+            return "lock file is empty"
+        pid = int(text) if text.isascii() and text.isdigit() else 0
+        if pid == 0:
+            return f"lock file holds no pid: {text[:32]!r}"
+        try:
+            os.kill(pid, 0)
+        except PermissionError:
+            pass  # the process exists under another user
+        except (ProcessLookupError, OverflowError):
+            return f"pid {pid} is not running; remove the lock file if no run uses the directory"
+        return f"pid {pid} is running"
 
     def __enter__(self):
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise DataError(
-                f"checkpoint directory is locked by another run: {self.path}"
+                f"checkpoint directory is locked by another run: {self.path} ({self._holder()})"
             ) from None
         with os.fdopen(fd, "w") as f:
             f.write(str(os.getpid()))

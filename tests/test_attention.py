@@ -9,6 +9,7 @@ from _helpers import check_grads
 from convsum import autodiff as ad
 from convsum.attention import (
     AttentionConfig,
+    _attention,
     attention_params,
     conv_multi_head_attention,
     head_union_indices,
@@ -276,3 +277,115 @@ class TestBandOp:
             assert w.shape == (H, L, case["k_head"] * min(case["k_tok"], 2 * L - 1))
             assert not w.data.flags.writeable
         assert np.allclose(w.data.sum(-1), 1.0)
+
+
+def _split(x, H):
+    """(..., L, d) -> (..., H, L, d/H), composed of tape ops."""
+    *lead, L, d = x.shape
+    n = len(lead)
+    return ad.transpose(ad.reshape(x, (*lead, L, H, d // H)), (*range(n), n + 1, n, n + 2))
+
+
+def _merge(x):
+    """(..., H, L, dk) -> (..., L, H*dk), composed of tape ops."""
+    *lead, H, L, dk = x.shape
+    n = len(lead)
+    return ad.reshape(ad.transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, L, H * dk))
+
+
+def composed_attention(q, k, v, H, mask=None):
+    """The op chain the fused attention op replaces: split heads, scores,
+    scale, masked softmax, context, merge heads."""
+    qh, kh, vh = _split(q, H), _split(k, H), _split(v, H)
+    n = kh.data.ndim
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (*range(n - 2), n - 1, n - 2))),
+                      qh.shape[-1] ** -0.5)
+    weights = ad.softmax(scores, mask)
+    return _merge(ad.matmul(weights, vh)), weights
+
+
+def fused_attention(q, k, v, H, mask=None):
+    return _attention(q, k, v, H, None if mask is None else np.where(mask, 0.0, -np.inf))
+
+
+def _run(fn, arrays, H, mask):
+    """Output, weights and input gradients of a fixed random projection of
+    fn's output, on fresh leaves."""
+    leaves = [ad.parameter(a.copy()) for a in arrays]
+    out, w = fn(*leaves, H, mask)
+    r = ad.constant(np.random.default_rng(5).normal(size=out.shape))
+    ad.backward(ad.tensor_sum(ad.mul(out, r)))
+    return out.data, np.asarray(w.data if isinstance(w, ad.Tensor) else w), [t.grad for t in leaves]
+
+
+_ATTENTION_CASES = {
+    # name: (q shape, k/v shape, mask shape or None, causal)
+    "2d_unmasked": ((4, 6), (5, 6), None),
+    "batched_causal": ((2, 5, 6), (2, 5, 6), "causal"),
+    "batched_key_padding": ((3, 4, 6), (3, 7, 6), "keys"),
+    "cross_kv_broadcast_over_rows": ((3, 1, 6), (7, 6), None),
+    "cross_kv_broadcast_masked": ((2, 3, 6), (5, 6), "keys"),
+}
+
+
+def _attention_case(rng, name):
+    q_shape, kv_shape, kind = _ATTENTION_CASES[name]
+    arrays = [rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)]
+    Lq, Lk = q_shape[-2], kv_shape[-2]
+    mask = None
+    if kind == "causal":
+        mask = np.tril(np.ones((Lq, Lk), dtype=bool))
+    elif kind == "keys":
+        lead = q_shape[:-2]
+        mask = rng.random((*lead, 1, 1, Lk)) > 0.4
+        mask[..., 0] = True
+    return arrays, mask
+
+
+class TestFusedAttentionOp:
+    """The one-op attention against the composed ops it replaces."""
+
+    @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    def test_matches_composed_ops(self, rng, case, H):
+        arrays, mask = _attention_case(rng, case)
+        got, got_w, got_g = _run(fused_attention, arrays, H, mask)
+        want, want_w, want_g = _run(composed_attention, arrays, H, mask)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_w, want_w)
+        assert not got_w.flags.writeable
+        for name, g, w in zip("qkv", got_g, want_g):
+            assert g.shape == w.shape, name
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+    @pytest.mark.parametrize("case", ["batched_key_padding", "cross_kv_broadcast_masked"])
+    def test_finite_differences(self, rng, case):
+        arrays, mask = _attention_case(rng, case)
+        q, k, v = (ad.parameter(a) for a in arrays)
+        r = ad.constant(rng.normal(size=arrays[0].shape))
+        check_grads(lambda: ad.tensor_sum(ad.mul(fused_attention(q, k, v, 2, mask)[0], r)),
+                    {"q": q, "k": k, "v": v})
+
+    def test_multi_head_attention_forward_is_bitwise_the_composed_layer(self, rng):
+        x = ad.constant(rng.normal(size=(2, 5, 8)))
+        p = attention_params(rng, 8)
+        mask = np.tril(np.ones((5, 5), dtype=bool))
+        got, w = multi_head_attention(x, x, p, 4, mask)
+
+        def lin(t, name):
+            return ad.add(ad.matmul(t, p["w" + name]), p["b" + name])
+
+        ctx, want_w = composed_attention(lin(x, "q"), lin(x, "k"), lin(x, "v"), 4, mask)
+        assert np.array_equal(got.data, lin(ctx, "o").data)
+        assert np.array_equal(w.data, want_w.data)
+        assert w.shape == (2, 4, 5, 5) and not w.requires_grad
+
+    def test_one_op_per_attention(self, rng):
+        q, k, v = (ad.parameter(rng.normal(size=(3, 4))) for _ in range(3))
+        out, _ = _attention(q, k, v, 2)
+        assert out.op == "attention" and out._parents == (q, k, v)
+
+    def test_width_not_divisible_by_heads_rejected(self, rng):
+        x = ad.constant(rng.normal(size=(3, 6)))
+        with pytest.raises(ContractError, match="divisible"):
+            _attention(x, x, x, 4)

@@ -287,6 +287,67 @@ class TestGradients:
         check_grads(build, {"x": x, "w": w})
 
 
+def _grads_of(build, tensors, r):
+    """Output and input gradients of sum(build() * r), on fresh leaf copies."""
+    leaves = {k: ad.Tensor(t.data.copy(), requires_grad=t.requires_grad)
+              for k, t in tensors.items()}
+    out = build(*leaves.values())
+    ad.backward(ad.tensor_sum(ad.mul(out, r)))
+    return out.data, {k: t.grad for k, t in leaves.items() if t.requires_grad}
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestFusedLinear:
+    """`linear` is one op; the oracle is the composed add(matmul(x, w), b)."""
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 2, 5, 3)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_composed_ops(self, rng, shape, with_bias):
+        t = {"x": ad.parameter(rng.normal(size=shape)),
+             "w": ad.parameter(rng.normal(size=(3, 4)))}
+        if with_bias:
+            t["b"] = ad.parameter(rng.normal(size=4))
+        r = _proj(rng, shape[:-1] + (4,))
+
+        def composed(x, w, b=None):
+            out = ad.matmul(x, w)
+            return out if b is None else ad.add(out, b)
+
+        got, got_g = _grads_of(ad.linear, t, r)
+        want, want_g = _grads_of(composed, t, r)
+        assert np.array_equal(got, want)
+        assert got_g.keys() == want_g.keys()
+        for k in want_g:
+            assert got_g[k].shape == want_g[k].shape
+            assert _rel(got_g[k], want_g[k]) <= 1e-10, k
+
+    def test_is_one_op_skipping_inputs_without_grad(self, rng):
+        x = ad.constant(rng.normal(size=(2, 3, 4)))
+        w, b = ad.parameter(rng.normal(size=(4, 2))), ad.parameter(rng.normal(size=2))
+        out = ad.linear(x, w, b)
+        assert out.op == "linear" and out._parents == (x, w, b)
+        ad.backward(ad.tensor_sum(out))
+        assert x.grad is None and w.grad.shape == (4, 2) and b.grad.shape == (2,)
+
+    def test_finite_differences(self, rng):
+        x = ad.parameter(rng.normal(size=(2, 3, 4)))
+        w = ad.parameter(rng.normal(size=(4, 5)))
+        b = ad.parameter(rng.normal(size=5))
+        r = _proj(rng, (2, 3, 5))
+        check_grads(lambda: ad.tensor_sum(ad.mul(ad.linear(x, w, b), r)),
+                    {"x": x, "w": w, "b": b})
+
+    def test_shape_errors(self, rng):
+        x = ad.constant(rng.normal(size=(2, 3)))
+        with pytest.raises(ContractError):
+            ad.linear(x, ad.constant(rng.normal(size=(4, 2))))
+        with pytest.raises(ContractError):
+            ad.linear(x, ad.constant(rng.normal(size=(3, 2))), ad.constant(np.zeros(3)))
+
+
 class TestNoGrad:
     def test_ops_record_no_graph(self, rng):
         w = ad.parameter(rng.normal(size=(3, 4)))

@@ -186,11 +186,16 @@ def test_unpadded_batch_builds_no_mask(rng, monkeypatch):
         masks.append(mask)
         return softmax(x, mask)
 
+    def attention_spy(q, k, v, heads, bias=None):
+        masks.append(bias)
+        return fused(q, k, v, heads, bias)
+
     softmax = ad.softmax
     monkeypatch.setattr(ad, "softmax", spy)
     from convsum import attention
 
-    monkeypatch.setattr(attention, "softmax", spy)
+    fused = attention._attention
+    monkeypatch.setattr(attention, "_attention", attention_spy)
     m = _model(conv_layers=())
     batch = [_pair(rng, 5, int(rng.integers(3, 6))) for _ in range(3)]
     m.train_step(batch, OptimizerState(d_model=8, warmup=10))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +182,29 @@ class TestTrainer:
         # released: can lock again
         with DirectoryLock(str(tmp_path)):
             pass
+
+    def test_lock_of_an_exited_run_is_reported_stale(self, tmp_path):
+        done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True)
+        pid = int(done.stdout)
+        (tmp_path / "LOCK").write_text(str(pid))
+        with pytest.raises(DataError, match=f"locked.*pid {pid} is not running"):
+            with DirectoryLock(str(tmp_path)):
+                pass
+        assert (tmp_path / "LOCK").read_text() == str(pid)  # no takeover
+
+    def test_lock_of_a_live_run_names_it_running(self, tmp_path):
+        with DirectoryLock(str(tmp_path)):
+            with pytest.raises(DataError, match=f"locked.*pid {os.getpid()} is running"):
+                with DirectoryLock(str(tmp_path)):
+                    pass
+
+    @pytest.mark.parametrize("text,why", [("", "empty"), ("12ab", "no pid"), ("0", "no pid"), ("²", "no pid")])
+    def test_lock_without_a_pid_says_so(self, tmp_path, text, why):
+        (tmp_path / "LOCK").write_text(text)
+        with pytest.raises(DataError, match=f"locked.*{why}"):
+            with DirectoryLock(str(tmp_path)):
+                pass
 
 
 class TestCliVocab:

@@ -627,3 +627,49 @@ class TestIncrementalDecode:
         fresh, after = grads(False), grads(True)
         for k in fresh:
             assert np.array_equal(fresh[k], after[k]), k
+
+
+def _gate_model():
+    """The c09 gate model (conv in encoder layer 0) and 8 lead-corpus pairs."""
+    from _helpers import make_lead_corpus
+    from convsum.data import encode_pairs, iter_texts
+    from convsum.tokenizer import build_vocab
+
+    docs = make_lead_corpus(40, seed=101)
+    vocab = build_vocab(iter_texts(docs), 500)
+    cfg = RunConfig(
+        d_model=64, enc_layers=2, dec_layers=2, ff_size=128, heads=4, token_kernel=13,
+        head_kernel=3, conv_layers=(0,), dropout=0.1, label_smoothing=0.1, copy=True,
+        batch_size=8, max_source_len=64, seed=7,
+    ).validate()
+    model, _ = build_model(cfg, vocab)
+    return model, encode_pairs(docs, vocab, cfg)[:8]
+
+
+class TestOpCounts:
+    """Pins of the tape size: fewer, fatter ops are the decode and train cost
+    at desk scale, so a change that adds ops shows here."""
+
+    def test_tape_nodes_of_a_gate_batch(self):
+        model, batch = _gate_model()
+        src, lengths, tgt = model.pad_batch(batch)
+        loss, _ = model.sequence_loss(src, tgt, True, lengths)
+        seen, todo, nodes = set(), [loss], 0
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes += node._backward is not None
+                todo.extend(p for p in node._parents if p.requires_grad)
+        assert nodes == 99  # 194 with a two-op linear and an eight-op attention
+
+    def test_ops_per_decoder_step(self, monkeypatch):
+        model, batch = _gate_model()
+        src = batch[0][0]
+        state = model.start_decode(model.encode(src), src)
+        state.step([model.vocab.bos_id] * 4)
+        ops = []
+        check = ad._check_finite
+        monkeypatch.setattr(ad, "_check_finite", lambda op, arr: (ops.append(op), check(op, arr)))
+        state.step(batch[0][1][1:5])
+        assert len(ops) == 55  # 115 with a two-op linear and an eight-op attention

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import make_lead_corpus
 from convsum.errors import ContractError
@@ -162,3 +164,17 @@ class TestLeadTail:
     def test_empty_summary_rejected(self):
         with pytest.raises(ContractError):
             lead_tail_analysis([(["a ."], "  ")], "head")
+
+
+_tokens = st.lists(st.sampled_from("abcde"), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tokens, _tokens)
+def test_scores_are_bounded_and_swap_symmetric(cand, ref):
+    swapped_all = rouge_all(ref, cand)
+    for key, s in rouge_all(cand, ref).items():
+        swapped = swapped_all[key]
+        assert all(0.0 <= x <= 1.0 for x in (s.precision, s.recall, s.f1)), key
+        assert (swapped.precision, swapped.recall) == (s.recall, s.precision), key
+        assert swapped.f1 == s.f1, key

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsum.errors import ContractError
 from convsum.providers import StubProvider
@@ -144,3 +146,19 @@ class TestStubProvider:
         b = prov.context_embed(np.array([1, 2, 4]))
         assert not np.allclose(a[1], b[1])  # neighbor changed
         assert not np.allclose(a[2], b[2])  # own token changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_context_free_stub_windowed_equals_direct_lookup(window, data):
+    stride = data.draw(st.integers(1, window))
+    length = data.draw(st.integers(1, 6 * window))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    prov = StubProvider(vocab_size=30, width=5, max_window=window, seed=3, context_free=True)
+    ids = rng.integers(0, 30, size=length)
+    cfg = WindowingConfig(window, stride)
+    got, want = encode_long(ids, prov, cfg), prov.token_table[ids]
+    if coverage_counts(split_windows(length, cfg), length).max() <= 2:
+        assert np.array_equal(got, want)
+    else:  # the mean of k >= 3 equal rows may round off by an ulp
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
