@@ -38,11 +38,15 @@ def _check_finite(op: str, arr: np.ndarray) -> None:
 class Tensor:
     """n-d float64 array with an optional same-shape gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "_grad_buf",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        # Where a parameter's gradient lives (its view of an arena's flat
+        # gradient buffer, `optim.Parameters`); None: a fresh array each time.
+        self._grad_buf: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -127,16 +131,20 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tens
 def _acc(node: Tensor, g: np.ndarray, op: str) -> None:
     """Accumulate a backward contribution into node.grad (only if it wants one).
 
-    The first contribution is copied, not added to zeros: one pass over
-    fresh memory instead of two. Every op passes g in its input's shape.
+    The first contribution is copied, not added to zeros: one pass instead
+    of two, into the node's gradient buffer if it has one. Every op passes g
+    in its input's shape.
     """
     if not node.requires_grad:
         return
     _check_finite(f"backward of '{op}'", g)
-    if node.grad is None:
+    if node.grad is not None:
+        node.grad += g
+    elif node._grad_buf is None:
         node.grad = np.array(g, dtype=np.float64)
     else:
-        node.grad += g
+        node._grad_buf[...] = g
+        node.grad = node._grad_buf
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -292,6 +300,9 @@ def take(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(out):
         if a.requires_grad:
+            if a.grad is None and a._grad_buf is not None:  # scatter into the zeroed buffer
+                a._grad_buf.fill(0.0)
+                a.grad = a._grad_buf
             # The grad must be C-contiguous so that the reshape below is a view:
             # on a grad laid out like a transposed input it would be a copy, and
             # the scatter would land in the copy.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, build_model
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .model import Summarizer
 from .optim import OptimizerState
 from .tokenizer import Vocab
@@ -108,14 +108,18 @@ def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
             f"(missing {missing}, unexpected {extra})"
         )
     for name, arr in ckpt.params.items():
-        if model.params[name].data.shape != arr.shape:
+        view = model.params[name].data
+        if view.shape != arr.shape:
             raise ConfigError(
                 f"checkpoint/config mismatch: parameter '{name}' has shape "
-                f"{arr.shape}, model expects {model.params[name].data.shape}"
+                f"{arr.shape}, model expects {view.shape}"
             )
-        model.params[name].data = arr.astype(np.float64).copy()
-    opt.m = {k: a.astype(np.float64).copy() for k, a in ckpt.m.items()}
-    opt.v = {k: a.astype(np.float64).copy() for k, a in ckpt.v.items()}
+        view[...] = arr
+    opt.m, opt.v = ckpt.m, ckpt.v
+    try:
+        opt.bind(model.params)  # copies the moments into the optimizer's flat buffers
+    except ContractError as e:
+        raise ConfigError(f"checkpoint/config mismatch: {e}") from None
     opt.step = ckpt.opt_step
     model.rng.bit_generator.state = ckpt.rng_state
     return model, opt

@@ -20,7 +20,7 @@ from .attention import (
 )
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .optim import adam_noam_step, zero_grads
+from .optim import Parameters, adam_noam_step, zero_grads
 from .providers import EmbeddingProvider
 from .tokenizer import Vocab
 from .windowing import WindowingConfig, encode_long
@@ -113,7 +113,8 @@ def _norm_init(d: int) -> tuple[Tensor, Tensor]:
 class Summarizer:
     """One model instance: parameters, forward paths, and the training step.
 
-    Parameters live in a flat name->Tensor dict (the checkpoint unit). The
+    Parameters live in a name->Tensor `optim.Parameters` (the checkpoint
+    unit), their values and gradients views of one flat arena. The
     computation graph is single-threaded per instance; a frozen instance may
     serve concurrent decodes.
     """
@@ -142,7 +143,7 @@ class Summarizer:
                 f"windowing window {self.windowing.window}"
             )
         self.rng = np.random.default_rng(seed)
-        self.params = self._init_params(np.random.default_rng(seed))
+        self.params = Parameters(self._init_params(np.random.default_rng(seed)))
         self._blocks: dict[str, dict[str, Tensor]] = {}
 
     # ------------------------------------------------------------------

@@ -3,7 +3,10 @@ checkpoints behind a directory lock, and beam-search evaluation."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import platform
 
 import numpy as np
 
@@ -17,6 +20,32 @@ from .tokenizer import Vocab
 
 LOCK_NAME = "LOCK"
 LOG_NAME = "loss.tsv"
+
+# glibc's mallopt parameters (malloc.h) and the values a training process uses
+_MALLOC_SETTINGS = (
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    (-1, 128 << 20),  # M_TRIM_THRESHOLD: keep up to 128 MiB of free heap top
+    (-2, 64 << 20),  # M_TOP_PAD: grow the heap 64 MiB past each request
+)
+
+
+@functools.cache
+def _keep_heap_resident() -> None:
+    """Once per process, on glibc: keep freed memory in the heap for reuse.
+
+    A train step frees its whole graph when it returns. By default glibc
+    serves large arrays with fresh mmaps and hands the heap top back to the
+    system once it is free, so every step faults the same pages in again.
+    With these settings the next step reuses them. Each setting also turns
+    off glibc's adaptive mmap threshold, so they are chosen as one set:
+    top pad alone made long steps fault far more. A no-op elsewhere.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL("libc.so.6").mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
 
 
 class DirectoryLock:
@@ -79,6 +108,7 @@ class Trainer:
     ):
         if not pairs:
             raise DataError("trainer: no training pairs")
+        _keep_heap_resident()
         self.cfg = cfg
         self.vocab = vocab
         self.pairs = pairs

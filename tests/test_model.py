@@ -11,7 +11,7 @@ from convsum.config import RunConfig, build_model
 from convsum.errors import ConfigError, ContractError
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.model import ModelConfig, Summarizer, _sinusoid
-from convsum.optim import OptimizerState
+from convsum.optim import OptimizerState, zero_grads
 from convsum.providers import StubProvider
 from convsum.tokenizer import RESERVED, Vocab
 
@@ -470,6 +470,52 @@ class TestTrainStep:
         assert loss < 0.2 * first
 
 
+class TestParameterArena:
+    """Parameters, gradients and Adam moments live in flat buffers that
+    survive from step to step."""
+
+    def test_data_and_grads_view_the_arena_and_are_reused(self, vocab, rng):
+        conv = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=(0,))
+        m = Summarizer(tiny_cfg(copy=True, attention=conv), vocab, seed=1)
+        opt = OptimizerState(d_model=8, warmup=10)
+        m.train_step(_copy_batch(vocab, rng, 3), opt)
+        grads = {}
+        for name, p in m.params.items():
+            assert np.shares_memory(p.data, m.params.theta), name
+            assert p.grad is not None and np.shares_memory(p.grad, m.params.grad), name
+            grads[name] = p.grad
+        assert {a.base is b.base for a, b in zip(opt.m.values(), opt.v.values())} == {False}
+        assert len({id(a.base) for a in opt.m.values()}) == 1  # one flat buffer each
+        # The next backward itself writes into the same views (before Adam,
+        # which would copy a fresh gradient array into the arena).
+        zero_grads(m.params)
+        src, lengths, tgt = m.pad_batch(_copy_batch(vocab, rng, 3))
+        ad.backward(m.sequence_loss(src, tgt, True, lengths)[0])
+        for name, p in m.params.items():
+            assert p.grad is grads[name], name
+
+    def test_rebound_parameter_fails_the_next_step(self, vocab, rng):
+        m = Summarizer(tiny_cfg(copy=True), vocab, seed=1)
+        opt = OptimizerState(d_model=8, warmup=10)
+        m.params["gen.b"].data = np.zeros_like(m.params["gen.b"].data)
+        with pytest.raises(ContractError, match="'gen.b'"):
+            m.train_step(_copy_batch(vocab, rng, 2), opt)
+        assert opt.step == 0
+
+    def test_a_model_that_only_decodes_holds_no_gradient_buffer(self, vocab):
+        m = Summarizer(tiny_cfg(copy=True), vocab, seed=1)
+        beam_search(m, np.array([vocab.cls_id, 7, 9, 11]), DecodingConfig(2, 1, 4))
+        assert m.params.grad is None
+
+    def test_values_set_in_place_train(self, vocab, rng):
+        m = Summarizer(tiny_cfg(copy=True), vocab, seed=1)
+        opt = OptimizerState(d_model=8, warmup=10)
+        m.params["gen.b"].data[...] = 0.5
+        m.train_step(_copy_batch(vocab, rng, 2), opt)
+        b = m.params["gen.b"].data
+        assert np.shares_memory(b, m.params.theta) and not np.all(b == 0.5)
+
+
 # --- checkpointing -----------------------------------------------------------
 
 
@@ -537,6 +583,44 @@ class TestCheckpoint:
         other.d_model = 16
         with pytest.raises(ConfigError, match="d_model"):
             check_arch_compatible(ckpt.run_config, other)
+
+    def _trained_checkpoint(self, vocab, rng, tmp_path):
+        cfg = self._run_config(tmp_path)
+        model, opt = build_model(cfg, vocab)
+        model.train_step(_copy_batch(vocab, rng, 2), opt)
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, model, opt, cfg)
+        return model, opt, load_checkpoint(path)
+
+    def test_restore_copies_into_the_arena(self, vocab, rng, tmp_path):
+        model, opt, ckpt = self._trained_checkpoint(vocab, rng, tmp_path)
+        restored, opt2 = restore_model(ckpt)
+        for name, p in restored.params.items():
+            assert np.shares_memory(p.data, restored.params.theta), name
+        assert list(opt2.m) == list(opt.m)
+        for name in opt.m:
+            assert not np.shares_memory(opt2.m[name], ckpt.m[name]), name
+        batch = _copy_batch(vocab, rng, 2)
+        model.train_step(batch, opt)
+        restored.train_step(batch, opt2)
+        for name, p in model.params.items():
+            assert np.array_equal(restored.params[name].data, p.data), name
+            assert np.array_equal(opt2.m[name], opt.m[name]), name
+            assert np.array_equal(opt2.v[name], opt.v[name]), name
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda c: c.m.update(nope=np.zeros(3)) or c.v.update(nope=np.zeros(3)), "'nope'"),
+        (lambda c: c.m.update({"gen.b": np.zeros(5)}), "'gen.b'"),
+        (lambda c: c.v.update({"gen.w": np.zeros((2, 2))}), "'gen.w'"),
+        (lambda c: c.v.pop("gen.b"), "'gen.b'"),
+    ], ids=["unknown-name", "m-shape", "v-shape", "m-without-v"])
+    def test_restore_rejects_moments_that_match_no_parameter(
+        self, vocab, rng, tmp_path, corrupt, match
+    ):
+        _, _, ckpt = self._trained_checkpoint(vocab, rng, tmp_path)
+        corrupt(ckpt)
+        with pytest.raises(ConfigError, match=match):
+            restore_model(ckpt)
 
 
 # --- incremental decoding ------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from convsum.autodiff import Tensor
 from convsum.errors import ContractError, NonFiniteError
-from convsum.optim import OptimizerState, adam_noam_step, noam_rate, zero_grads
+from convsum.optim import OptimizerState, Parameters, adam_noam_step, noam_rate, zero_grads
 
 
 class TestSchedule:
@@ -72,6 +72,18 @@ class TestAdam:
             p.grad = rng.normal(size=(2,))
             adam_noam_step(state, {"p": p})
             assert state.step == expected
+
+    def test_gradient_set_from_outside_is_copied_into_the_arena(self, rng):
+        params = Parameters({"a": Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+                             "b": Tensor(rng.normal(size=4), requires_grad=True)})
+        g = rng.normal(size=(2, 3))
+        params["a"].grad = g
+        adam_noam_step(OptimizerState(d_model=64, warmup=10), params)
+        assert params["a"].grad is not g and np.array_equal(params["a"].grad, g)
+        assert np.shares_memory(params["a"].grad, params.grad)
+        params["b"].grad = np.ones(3)
+        with pytest.raises(ContractError, match="'b'"):
+            adam_noam_step(OptimizerState(d_model=64, warmup=10), params)
 
     def test_zero_grads(self):
         p = Tensor(np.ones(2), requires_grad=True)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convsum.errors import ContractError, DataError
 from convsum.tokenizer import (
@@ -122,6 +124,36 @@ class TestDetokenize:
                 ids = tokenize(w, vocab)
                 assert vocab.unk_id not in ids
                 assert detokenize(ids, vocab) == w
+
+
+# Word characters and punctuation; split_words lowercases, so upper-case
+# letters are in vocab when their lower-case forms are.
+_ALPHABET = "abcdefgxyzABXZ0189.,'-!"
+
+
+@st.composite
+def _vocab_and_text(draw):
+    """A vocab built from a random corpus, and a text over that corpus's characters."""
+    corpus = draw(st.lists(st.text(_ALPHABET + " ", min_size=1, max_size=30), min_size=1,
+                           max_size=4).filter(lambda c: any(split_words(t) for t in c)))
+    chars = sorted({c for t in corpus for w in split_words(t) for c in w})
+    size = len(RESERVED) + 2 * len(chars) + draw(st.integers(0, 20))
+    vocab = build_vocab(corpus, size)
+    in_vocab = [c for c in _ALPHABET if c.lower() in chars]
+    text = draw(st.text(st.sampled_from(in_vocab + [" ", "\t", "\n"]), max_size=40))
+    return vocab, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vocab_and_text())
+def test_roundtrip_on_in_vocab_text(case):
+    """On text whose characters are all in the vocab, tokenize never emits
+    [UNK], and detokenize gives back the lower-cased words, punctuation split
+    off, joined by single spaces."""
+    vocab, text = case
+    ids = tokenize(text, vocab)
+    assert ids[0] == vocab.cls_id and vocab.unk_id not in ids
+    assert detokenize(ids, vocab) == " ".join(split_words(text))
 
 
 class TestBuildVocab:
