@@ -68,22 +68,10 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
         return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def parameter(data) -> Tensor:

@@ -97,8 +97,14 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
     """Rebuild the model/optimizer a checkpoint describes and load its state."""
-    vocab = Vocab(ckpt.vocab_tokens)
-    model, opt = build_model(ckpt.run_config, vocab)
+    model, opt = build_model(ckpt.run_config, Vocab(ckpt.vocab_tokens))
+    load_state(ckpt, model, opt)
+    return model, opt
+
+
+def load_state(ckpt: Checkpoint, model: Summarizer, opt: OptimizerState) -> None:
+    """Load a checkpoint's parameters, Adam moments and step, and RNG state
+    into a built model and optimizer, whose settings stay their own."""
     expected = set(model.params)
     if expected != set(ckpt.params):
         missing = sorted(expected - set(ckpt.params))[:3]
@@ -122,4 +128,3 @@ def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
         raise ConfigError(f"checkpoint/config mismatch: {e}") from None
     opt.step = ckpt.opt_step
     model.rng.bit_generator.state = ckpt.rng_state
-    return model, opt

@@ -20,8 +20,15 @@ from .tokenizer import Vocab
 from .windowing import WindowingConfig
 
 
+# RunConfig fields named differently in the sub-config they fill
+_RENAMED = {"adam_eps": "eps"}
+
+
 @dataclass
 class RunConfig:
+    """Every run setting, flat. A setting a sub-config uses takes its default
+    from that class and is passed to it by name (see `_sub`)."""
+
     # run
     seed: int = 0
     vocab: str = ""
@@ -33,83 +40,76 @@ class RunConfig:
     max_source_len: int = 512
     full_text: bool = False
     # model
-    d_model: int = 256
-    enc_layers: int = 3
-    dec_layers: int = 3
-    ff_size: int = 1024
-    heads: int = 4
-    token_kernel: int = 11
-    head_kernel: int = 3
-    circular: bool = False
-    conv_layers: tuple = (0,)
-    dropout: float = 0.1
-    label_smoothing: float = 0.1
-    integration: str = "none"
-    copy: bool = True
-    decoder_conditioned: bool = False
+    d_model: int = ModelConfig.d_model
+    enc_layers: int = ModelConfig.enc_layers
+    dec_layers: int = ModelConfig.dec_layers
+    ff_size: int = ModelConfig.ff_size
+    heads: int = AttentionConfig.heads
+    token_kernel: int = AttentionConfig.token_kernel
+    head_kernel: int = AttentionConfig.head_kernel
+    circular: bool = AttentionConfig.circular
+    conv_layers: tuple = AttentionConfig.conv_layers
+    dropout: float = ModelConfig.dropout
+    label_smoothing: float = ModelConfig.label_smoothing
+    integration: str = ModelConfig.integration
+    copy: bool = ModelConfig.copy
+    decoder_conditioned: bool = ModelConfig.decoder_conditioned
     # embedding provider
     provider: str = "none"
-    provider_width: int = 64
+    provider_width: int = ModelConfig.provider_width
     provider_window: int = 512
     provider_seed: int = 0
-    window: int = 512
-    stride: int = 256
+    window: int = WindowingConfig.window
+    stride: int = WindowingConfig.stride
     # optimizer
-    warmup: int = 4000
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
+    warmup: int = OptimizerState.warmup
+    beta1: float = OptimizerState.beta1
+    beta2: float = OptimizerState.beta2
+    adam_eps: float = OptimizerState.eps
     # decoding
-    beam_size: int = 4
-    min_length: int = 55
-    max_length: int = 150
-    coverage_beta: float = 0.0
+    beam_size: int = DecodingConfig.beam_size
+    min_length: int = DecodingConfig.min_length
+    max_length: int = DecodingConfig.max_length
+    coverage_beta: float = DecodingConfig.coverage_beta
+
+    def __post_init__(self):
+        self.conv_layers = tuple(self.conv_layers)
+
+    def _sub(self, cls, **given):
+        """`cls` built from every field it shares with this config, plus `given`."""
+        ours = {_RENAMED.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        return cls(**{f.name: ours[f.name] for f in fields(cls) if f.name in ours}, **given)
 
     def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            heads=self.heads,
-            token_kernel=self.token_kernel,
-            head_kernel=self.head_kernel,
-            circular=self.circular,
-            conv_layers=tuple(self.conv_layers),
-        )
+        return self._sub(AttentionConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d_model=self.d_model,
-            enc_layers=self.enc_layers,
-            dec_layers=self.dec_layers,
-            ff_size=self.ff_size,
-            attention=self.attention_config(),
-            dropout=self.dropout,
-            label_smoothing=self.label_smoothing,
-            integration=self.integration,
-            copy=self.copy,
-            provider_width=self.provider_width,
-            decoder_conditioned=self.decoder_conditioned,
-        )
+        return self._sub(ModelConfig, attention=self.attention_config())
 
     def windowing_config(self) -> WindowingConfig:
-        return WindowingConfig(window=self.window, stride=self.stride)
+        return self._sub(WindowingConfig)
 
     def decoding_config(self) -> DecodingConfig:
-        return DecodingConfig(
-            beam_size=self.beam_size,
-            min_length=self.min_length,
-            max_length=self.max_length,
-            coverage_beta=self.coverage_beta,
-        )
+        return self._sub(DecodingConfig)
+
+    def optimizer_state(self) -> OptimizerState:
+        return self._sub(OptimizerState)
 
     def validate(self) -> "RunConfig":
-        """Construct every sub-config so invalid combinations fail eagerly.
+        """Check the run loop's counts and construct every sub-config, so an
+        invalid value fails here, before any data is read.
 
         A sub-config's own ContractError is re-raised as a ConfigError: here
         the bad value came from a config file or a flag.
         """
+        for name in ("steps", "batch_size", "checkpoint_every", "max_source_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:
             self.model_config()
             self.windowing_config()
             self.decoding_config()
+            self.optimizer_state()
         except ContractError as e:
             raise ConfigError(str(e)) from e
         if self.provider not in ("none", "stub"):
@@ -117,18 +117,13 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["conv_layers"] = list(self.conv_layers)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "conv_layers" in d:
-            d["conv_layers"] = tuple(d["conv_layers"])
         return cls(**d)
 
 
@@ -208,14 +203,7 @@ def build_model(cfg: RunConfig, vocab: Vocab) -> tuple[Summarizer, OptimizerStat
         windowing=cfg.windowing_config(),
         seed=cfg.seed,
     )
-    opt = OptimizerState(
-        d_model=cfg.d_model,
-        warmup=cfg.warmup,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.adam_eps,
-    )
-    return model, opt
+    return model, cfg.optimizer_state()
 
 
 # fields that must agree between a checkpoint and a requested configuration

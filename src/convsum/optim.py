@@ -115,6 +115,14 @@ class OptimizerState:
     _arena: Parameters | None = field(default=None, init=False, repr=False, compare=False)
     _flat: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.warmup < 1:
+            raise ContractError(f"warmup must be >= 1, got {self.warmup}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ContractError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not self.eps > 0.0:
+            raise ContractError(f"Adam eps must be > 0, got {self.eps}")
+
     def bind(self, params: Parameters) -> None:
         """Lay the moments out like `params`, copying in the ones `m` and `v` hold."""
         if self._arena is params:

@@ -10,7 +10,7 @@ import platform
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, restore_model, save_checkpoint
+from .checkpoint import load_checkpoint, load_state, save_checkpoint
 from .config import RunConfig, build_model, check_arch_compatible
 from .decoding import DecodingConfig, beam_search
 from .errors import ConfigError, DataError
@@ -97,7 +97,9 @@ class DirectoryLock:
 
 
 class Trainer:
-    """Owns one model + optimizer and drives training over encoded pairs."""
+    """Owns one model + optimizer, built from `cfg`, and drives training over
+    encoded pairs. A resumed run loads the checkpoint's state into them: the
+    architecture must match the checkpoint's, the training settings are cfg's."""
 
     def __init__(
         self,
@@ -117,10 +119,9 @@ class Trainer:
             check_arch_compatible(ckpt.run_config, cfg)
             if ckpt.vocab_tokens != vocab.tokens():
                 raise ConfigError("checkpoint vocab differs from the provided vocab")
-            self.model, self.opt = restore_model(ckpt)
-        else:
-            self.model, self.opt = build_model(cfg, vocab)
-        self.history: list[tuple[int, float, float]] = []
+        self.model, self.opt = build_model(cfg, vocab)
+        if resume_from is not None:
+            load_state(ckpt, self.model, self.opt)
 
     @property
     def step(self) -> int:
@@ -138,7 +139,6 @@ class Trainer:
             loss, lr = self.model.train_step(self._sample_batch(), self.opt)
             row = (self.opt.step, lr, loss)
             rows.append(row)
-            self.history.append(row)
             if log is not None:
                 log.write(f"{row[0]}\t{row[1]:.12e}\t{row[2]:.12e}\n")
         return rows

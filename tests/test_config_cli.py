@@ -1,19 +1,28 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _helpers import WORD_POOL, make_lead_corpus
 from convsum import cli
-from convsum.config import RunConfig, load_config, parse_config_text
+from convsum.attention import AttentionConfig
+from convsum.config import SCHEMA, RunConfig, load_config, parse_config_text, parse_value
+from convsum.decoding import DecodingConfig
 from convsum.data import encode_pairs, iter_texts, load_jsonl, save_jsonl
 from convsum.errors import ConfigError, DataError
-from convsum.optim import noam_rate
+from convsum.model import ModelConfig
+from convsum.optim import OptimizerState, noam_rate
 from convsum.tokenizer import RESERVED, Vocab, build_vocab
 from convsum.trainer import DirectoryLock, Trainer, evaluate_model
+from convsum.windowing import WindowingConfig
+
+SUB_CONFIGS = (ModelConfig, AttentionConfig, WindowingConfig, DecodingConfig, OptimizerState)
 
 
 class TestConfigFile:
@@ -67,6 +76,48 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
+
+
+class TestOneDeclarationPerSetting:
+    def _shared(self):
+        """(RunConfig field, sub-config class, its field) for every shared setting."""
+        own = {{"adam_eps": "eps"}.get(f.name, f.name): f.name for f in fields(RunConfig)}
+        return [(own[f.name], cls, f) for cls in SUB_CONFIGS for f in fields(cls)
+                if f.name in own]
+
+    def test_shared_defaults_are_the_owners(self):
+        run_defaults = {f.name: f.default for f in fields(RunConfig)}
+        with_default = [(run, cls, f) for run, cls, f in self._shared() if f.default is not MISSING]
+        assert len(with_default) == 25
+        assert ("adam_eps", OptimizerState, "eps") in [(r, c, f.name) for r, c, f in with_default]
+        for run, cls, f in with_default:
+            assert run_defaults[run] == f.default, f"{run} vs {cls.__name__}.{f.name}"
+
+    def test_sub_configs_get_every_shared_value(self):
+        cfg = RunConfig(d_model=96, heads=3, token_kernel=5, head_kernel=1, circular=True,
+                        conv_layers=(1,), enc_layers=2, dec_layers=4, ff_size=40,
+                        dropout=0.2, label_smoothing=0.05, integration="stacking", copy=False,
+                        decoder_conditioned=True, provider_width=8,
+                        window=64, stride=16, warmup=7, beta1=0.8, beta2=0.9,
+                        adam_eps=1e-6, beam_size=3, min_length=2, max_length=9,
+                        coverage_beta=0.5).validate()
+        built = {ModelConfig: cfg.model_config(), AttentionConfig: cfg.attention_config(),
+                 WindowingConfig: cfg.windowing_config(), DecodingConfig: cfg.decoding_config(),
+                 OptimizerState: cfg.optimizer_state()}
+        assert cfg.model_config().attention == built[AttentionConfig]
+        for run, cls, f in self._shared():
+            assert getattr(built[cls], f.name) == getattr(cfg, run), f"{run} -> {f.name}"
+
+    def test_readme_schema_table_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| (\w+) \| ([^|]+?) \|", section, re.M)
+        assert [key for key, _, _ in rows] == list(SCHEMA)
+        defaults = RunConfig()
+        for key, kind, cell in rows:
+            assert kind == SCHEMA[key], key
+            raw = "" if cell == "(empty)" else cell.strip("`")
+            assert parse_value(key, raw, kind) == getattr(defaults, key), key
 
 
 class TestJsonl:
@@ -149,6 +200,26 @@ class TestTrainer:
         assert head_rows + tail_rows == full_rows
         for k in solo.model.params:
             assert np.array_equal(second.model.params[k].data, solo.model.params[k].data)
+
+    def test_resume_runs_with_the_requested_training_settings(self, tmp_path):
+        docs, vocab, cfg = _toy_setup(tmp_path, steps=8)
+        pairs = encode_pairs(docs, vocab, cfg)
+        first = Trainer(cfg, vocab, pairs)
+        first.train(until_step=4)
+        ck = tmp_path / "mid.npz"
+        first.save(str(ck))
+        same = Trainer(cfg, vocab, pairs, resume_from=str(ck)).train()
+
+        changed = RunConfig(**{**cfg.to_dict(), "dropout": 0.5, "warmup": 100, "beta1": 0.5})
+        resumed = Trainer(changed, vocab, pairs, resume_from=str(ck))
+        assert resumed.model.cfg.dropout == 0.5
+        assert (resumed.opt.warmup, resumed.opt.beta1) == (100, 0.5)
+        for name, p in resumed.model.params.items():  # the checkpoint's state is loaded
+            assert np.array_equal(p.data, first.model.params[name].data)
+        rows = resumed.train()
+        assert [step for step, _, _ in rows] == [5, 6, 7, 8]
+        assert [lr for _, lr, _ in rows] == [noam_rate(cfg.d_model, 100, s) for s in range(5, 9)]
+        assert rows[0][2] != same[0][2]  # same batch and RNG state, other dropout
 
     def test_resume_from_earlier_checkpoint_keeps_one_log_row_per_step(self, tmp_path):
         docs, vocab, cfg = _toy_setup(tmp_path, steps=10)
@@ -337,6 +408,33 @@ class TestCliTrainAndUse:
         ):
             assert cli.main(argv) == 2
             assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--checkpoint-every", "-1", "checkpoint_every"),
+        ("--checkpoint-every", "0", "checkpoint_every"),
+        ("--steps", "-3", "steps"),
+        ("--batch-size", "0", "batch_size"),
+        ("--max-source-len", "0", "max_source_len"),
+        ("--warmup", "0", "warmup"),
+        ("--beta1", "1", "beta1"),  # zeroes Adam's bias correction 1 - beta1**step
+        ("--beta1", "nan", "beta1"),
+        ("--beta2", "-0.5", "beta2"),
+        ("--adam-eps", "0", "eps"),
+        ("--adam-eps", "nan", "eps"),
+    ])
+    def test_invalid_run_setting_exits_2_before_data_is_read(self, trained, tmp_path,
+                                                            capsys, flag, value, named):
+        # The vocab and corpus do not exist: reading either would exit 3.
+        _, _, _, cfg = trained
+        absent = RunConfig(**{**cfg.to_dict(), "vocab": str(tmp_path / "no-vocab.txt"),
+                              "corpus": str(tmp_path / "no-corpus.jsonl"),
+                              "checkpoint_dir": str(tmp_path / "ckpt")})
+        cfg_path = tmp_path / "run.cfg"
+        _write_config(str(cfg_path), absent)
+        assert cli.main(["train", "--config", str(cfg_path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and named in err
+        assert not (tmp_path / "ckpt").exists()
 
     def test_leadtail_head_beats_tail(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained
