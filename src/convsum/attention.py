@@ -20,11 +20,11 @@ Full attention is three tape ops: the query projection, one fused
 `attention` op (head split as a view, scores, scale, masked softmax, context,
 head merge, with a hand-written backward) and the output projection. Keys and
 values stay (..., Lk, d), so decoding caches them as (B, t, d). A beam step
-of the d=64 gate model runs 55 tape ops, where an eight-op attention and a
-two-op `linear` (matmul, bias add) made 115. The fused op, the banded op
-and `autodiff.softmax` share one masked-softmax forward and backward
-(`autodiff._softmax_fwd`/`_softmax_bwd`); masks reach it as an additive 0/-inf
-score bias.
+of the d=64 gate model runs 49 tape ops, where an eight-op attention, a
+two-op `linear` (matmul, bias add) and a residual add beside each layer norm
+made 115. The fused op, the banded op and `autodiff.softmax` share one
+masked-softmax forward and backward (`autodiff._softmax_fwd`/`_softmax_bwd`);
+masks reach it as an additive 0/-inf score bias.
 
 Every function takes leading batch axes. A padded batch passes a mask:
 `attend` and `multi_head_attention` a boolean mask broadcastable to
@@ -42,6 +42,7 @@ import numpy as np
 
 from .autodiff import Tensor, _acc, _result, _softmax_bwd, _softmax_fwd, _unbroadcast, linear
 from .errors import ContractError
+from .optim import Init, Parameters
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,17 @@ def _union_table(heads: int, head_kernel: int, circular: bool) -> tuple[np.ndarr
     return idx, valid
 
 
-def attention_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
+def attention_inits(d: int) -> dict[str, Init]:
     """Xavier-uniform projections for one attention block."""
     lim = np.sqrt(6.0 / (d + d))
+    w = Init((d, d), lambda rng, shape: rng.uniform(-lim, lim, shape))
+    b = Init((d,))
+    return {"wq": w, "wk": w, "wv": w, "wo": w, "bq": b, "bk": b, "bv": b, "bo": b}
 
-    def w():
-        return Tensor(rng.uniform(-lim, lim, (d, d)), requires_grad=True)
 
-    def b():
-        return Tensor(np.zeros(d), requires_grad=True)
-
-    return {"wq": w(), "wk": w(), "wv": w(), "wo": w(),
-            "bq": b(), "bk": b(), "bv": b(), "bo": b()}
+def attention_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
+    """One attention block's parameters, drawn from rng."""
+    return dict(Parameters(attention_inits(d), rng))
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:

@@ -8,11 +8,12 @@ Under `no_grad()` ops record nothing: forward-only work such as decoding
 builds no graph and leaves no reference cycles behind.
 
 A node's closure refers back to the node, so a recorded graph is a web of
-reference cycles. `backward` breaks them once it has run: it drops every
-node's closure, so the graph is freed by reference counting as soon as the
-caller lets go of the loss (a train step: when it returns), without waiting
-for the cyclic collector. A consumed graph cannot be run again; `backward`
-through any of its nodes raises.
+reference cycles. `backward` breaks them as it walks: once a node's closure
+has run, the node drops its closure, its parents and its gradient, so what
+it saved is freed by reference counting there and then, and a train step
+holds only what the rest of its backward pass still reads. Only leaves
+(parameters) and the loss keep `.grad`. A consumed graph cannot be run
+again; `backward` through any of its nodes raises.
 """
 
 from __future__ import annotations
@@ -382,31 +383,49 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _result(data, (x,), bwd, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
+               residual: Tensor | None = None, keep: np.ndarray | None = None,
+               rate: float = 0.0) -> Tensor:
+    """Normalize over the last axis, then scale and shift.
+
+    With a `residual` branch, normalize x + dropout(residual) as one op, the
+    branch's dropout given by its keep-mask (`dropout_mask`; None keeps all)
+    and `rate`. It makes the numpy calls of layer_norm(add(x, dropout(...)))
+    in their order, so values and gradients are bitwise theirs, and saves
+    the bool mask, the centred input and the inverse deviation; backward
+    recomputes the normalized input from them.
+    """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ContractError("layer_norm: gain/bias must have shape (d,)")
-    mu = x.data.sum(axis=-1, keepdims=True) / d  # bitwise `mean`, without its wrapper
-    xc = x.data - mu
+    s = x.data
+    if residual is not None:
+        if residual.data.shape != x.data.shape:
+            raise ContractError(f"layer_norm: residual {residual.shape} must match input {x.shape}")
+        s = s + (residual.data if keep is None else residual.data * (keep / (1.0 - rate)))
+    mu = s.sum(axis=-1, keepdims=True) / d  # bitwise `mean`, without its wrapper
+    xc = s - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = gain.data * xhat + bias.data
+    data = gain.data * (xc * inv) + bias.data
 
     def bwd(out):
         g = out.grad
-        _acc(gain, (g * xhat).reshape(-1, d).sum(axis=0), "layer_norm")
+        _acc(gain, (g * (xc * inv)).reshape(-1, d).sum(axis=0), "layer_norm")
         _acc(bias, g.reshape(-1, d).sum(axis=0), "layer_norm")
-        if x.requires_grad:
+        if x.requires_grad or (residual is not None and residual.requires_grad):
             gx_hat = g * gain.data
             dvar = (gx_hat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
             dmu = -(gx_hat * inv).sum(axis=-1, keepdims=True) + dvar * (-2.0 / d) * xc.sum(
                 axis=-1, keepdims=True
             )
-            _acc(x, gx_hat * inv + dvar * 2.0 * xc / d + dmu / d, "layer_norm")
+            gs = gx_hat * inv + dvar * 2.0 * xc / d + dmu / d
+            _acc(x, gs, "layer_norm")
+            if residual is not None:
+                _acc(residual, gs if keep is None else gs * (keep / (1.0 - rate)), "layer_norm")
 
-    return _result(data, (x, gain, bias), bwd, "layer_norm")
+    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
+    return _result(data, parents, bwd, "layer_norm")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -439,19 +458,28 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(data, parents, bwd, "linear")
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
+def dropout_mask(rate: float, rng: np.random.Generator | None, shape: tuple[int, ...],
+                 training: bool = True) -> np.ndarray | None:
+    """Keep-mask of inverted dropout, True where a unit survives, drawn from
+    rng; None when nothing drops (not training, or rate 0)."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ContractError("dropout: a seeded generator is required in training mode")
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    data = x.data * keep
+    return rng.random(shape) >= rate
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """Inverted dropout; identity when not training or rate == 0."""
+    keep = dropout_mask(rate, rng, x.data.shape, training)
+    if keep is None:
+        return x
+    data = x.data * (keep / (1.0 - rate))
 
     def bwd(out):
-        _acc(x, out.grad * keep, "dropout")
+        _acc(x, out.grad * (keep / (1.0 - rate)), "dropout")
 
     return _result(data, (x,), bwd, "dropout")
 
@@ -544,14 +572,12 @@ def _consumed() -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires-grad tensor reachable from a scalar loss.
+    """Populate .grad for every requires-grad leaf reachable from a scalar loss.
 
-    Consumes the graph: afterwards no node in it keeps its closure, so the
-    graph holds no reference cycle, and another `backward` through any of
-    its nodes raises. Parents stay: the graph lives as long as the loss
-    does, and is freed when the caller drops the loss. Freeing it here,
-    before the caller's optimizer update, makes the allocator hand its pages
-    back to the system, and the next step faults them in again.
+    Frees the graph as it goes: once a node's closure has run, the node
+    drops its closure, its parents and (unless it is the loss) its gradient,
+    and `backward` drops the node. Another `backward` through any node of a
+    consumed graph raises.
     """
     if loss.data.size != 1:
         raise ContractError("backward: loss must be a scalar")
@@ -580,9 +606,15 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward: the graph was already consumed by an earlier backward")
     loss.grad = np.ones_like(loss.data)
     try:
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward()
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf
+                continue
+            run, node._backward = node._backward, _consumed
+            run()
+            node._parents = ()
+            if node is not loss:
+                node.grad = None
     finally:
         for node in order:
             if node._backward is not None:

@@ -96,8 +96,9 @@ class RunConfig:
         return self._sub(OptimizerState)
 
     def validate(self) -> "RunConfig":
-        """Check the run loop's counts and construct every sub-config, so an
-        invalid value fails here, before any data is read.
+        """Check the run loop's counts, the seeds and the provider's window,
+        and construct every sub-config, so an invalid value fails here,
+        before any data is read.
 
         A sub-config's own ContractError is re-raised as a ConfigError: here
         the bad value came from a config file or a flag.
@@ -105,6 +106,9 @@ class RunConfig:
         for name in ("steps", "batch_size", "checkpoint_every", "max_source_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "provider_seed"):  # numpy generators take no negative seed
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         try:
             self.model_config()
             self.windowing_config()
@@ -114,6 +118,9 @@ class RunConfig:
             raise ConfigError(str(e)) from e
         if self.provider not in ("none", "stub"):
             raise ConfigError(f"unknown provider '{self.provider}' (expected 'none' or 'stub')")
+        if self.provider != "none" and self.provider_window < self.window:
+            raise ConfigError(f"provider_window {self.provider_window} is smaller than "
+                              f"window {self.window}: a window would not fit the provider")
         return self
 
     def to_dict(self) -> dict:

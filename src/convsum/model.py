@@ -13,14 +13,14 @@ from . import autodiff as ad
 from .attention import (
     AttentionConfig,
     attend,
-    attention_params,
+    attention_inits,
     conv_multi_head_attention,
     multi_head_attention,
     project_kv,
 )
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .optim import Parameters, adam_noam_step, zero_grads
+from .optim import Init, Parameters, adam_noam_step, zero_grads
 from .providers import EmbeddingProvider
 from .tokenizer import Vocab
 from .windowing import WindowingConfig, encode_long
@@ -43,6 +43,9 @@ class ModelConfig:
     decoder_conditioned: bool = False
 
     def __post_init__(self):
+        for name in ("d_model", "ff_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.attention.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by {self.attention.heads} heads"
@@ -99,15 +102,17 @@ def _keys(src_mask: np.ndarray | None) -> np.ndarray | None:
     return None if src_mask is None else src_mask[..., None, None, :]
 
 
-def _linear_init(rng: np.random.Generator, din: int, dout: int) -> tuple[Tensor, Tensor]:
+def _linear_init(din: int, dout: int) -> tuple[Init, Init]:
     lim = math.sqrt(6.0 / (din + dout))
-    w = Tensor(rng.uniform(-lim, lim, (din, dout)), requires_grad=True)
-    b = Tensor(np.zeros(dout), requires_grad=True)
-    return w, b
+    return Init((din, dout), lambda rng, shape: rng.uniform(-lim, lim, shape)), Init((dout,))
 
 
-def _norm_init(d: int) -> tuple[Tensor, Tensor]:
-    return Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True)
+def _norm_init(d: int) -> tuple[Init, Init]:
+    return Init((d,), fill=1.0), Init((d,))
+
+
+def _embedding_init(V: int, d: int) -> Init:
+    return Init((V, d), lambda rng, shape: rng.normal(0.0, d ** -0.5, shape))
 
 
 class Summarizer:
@@ -143,55 +148,56 @@ class Summarizer:
                 f"windowing window {self.windowing.window}"
             )
         self.rng = np.random.default_rng(seed)
-        self.params = Parameters(self._init_params(np.random.default_rng(seed)))
+        self.params = Parameters(self._param_inits(), np.random.default_rng(seed))
         self._blocks: dict[str, dict[str, Tensor]] = {}
 
     # ------------------------------------------------------------------
     # parameters
     # ------------------------------------------------------------------
 
-    def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+    def _param_inits(self) -> dict[str, Init]:
+        """Every parameter's Init, in layout and draw order."""
         cfg = self.cfg
         d, V = cfg.d_model, len(self.vocab)
-        p: dict[str, Tensor] = {}
+        p: dict[str, Init] = {}
 
         def put_attention(prefix: str):
-            for k, t in attention_params(rng, d).items():
+            for k, t in attention_inits(d).items():
                 p[f"{prefix}.{k}"] = t
 
         def put_block(prefix: str):
             put_attention(f"{prefix}.att")
             p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"] = _norm_init(d)
-            p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"] = _linear_init(rng, d, cfg.ff_size)
-            p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"] = _linear_init(rng, cfg.ff_size, d)
+            p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"] = _linear_init(d, cfg.ff_size)
+            p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"] = _linear_init(cfg.ff_size, d)
             p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"] = _norm_init(d)
 
         if cfg.integration in ("none", "concatenation"):
-            p["src_embed"] = Tensor(rng.normal(0.0, d ** -0.5, (V, d)), requires_grad=True)
+            p["src_embed"] = _embedding_init(V, d)
         if cfg.integration == "stacking":
-            p["ctx_proj.w"], p["ctx_proj.b"] = _linear_init(rng, cfg.provider_width, d)
+            p["ctx_proj.w"], p["ctx_proj.b"] = _linear_init(cfg.provider_width, d)
         if cfg.integration == "concatenation":
-            p["cat_proj.w"], p["cat_proj.b"] = _linear_init(rng, d + cfg.provider_width, d)
+            p["cat_proj.w"], p["cat_proj.b"] = _linear_init(d + cfg.provider_width, d)
         for i in range(cfg.enc_layers):
             put_block(f"enc.{i}")
 
         if cfg.decoder_conditioned:
-            p["dec_proj.w"], p["dec_proj.b"] = _linear_init(rng, cfg.provider_width, d)
+            p["dec_proj.w"], p["dec_proj.b"] = _linear_init(cfg.provider_width, d)
         else:
-            p["tgt_embed"] = Tensor(rng.normal(0.0, d ** -0.5, (V, d)), requires_grad=True)
+            p["tgt_embed"] = _embedding_init(V, d)
         for i in range(cfg.dec_layers):
             put_attention(f"dec.{i}.self")
             p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"] = _norm_init(d)
             put_attention(f"dec.{i}.cross")
             p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"] = _norm_init(d)
-            p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"] = _linear_init(rng, d, cfg.ff_size)
-            p[f"dec.{i}.ff.w2"], p[f"dec.{i}.ff.b2"] = _linear_init(rng, cfg.ff_size, d)
+            p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"] = _linear_init(d, cfg.ff_size)
+            p[f"dec.{i}.ff.w2"], p[f"dec.{i}.ff.b2"] = _linear_init(cfg.ff_size, d)
             p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"] = _norm_init(d)
 
-        p["gen.w"], p["gen.b"] = _linear_init(rng, d, V)
+        p["gen.w"], p["gen.b"] = _linear_init(d, V)
         if cfg.copy:
-            p["copy.wq"], p["copy.bq"] = _linear_init(rng, d, d)
-            p["copy.gate.w"], p["copy.gate.b"] = _linear_init(rng, 2 * d, 1)
+            p["copy.wq"], p["copy.bq"] = _linear_init(d, d)
+            p["copy.gate.w"], p["copy.gate.b"] = _linear_init(2 * d, 1)
         return p
 
     def _block(self, prefix: str) -> dict[str, Tensor]:
@@ -211,6 +217,14 @@ class Summarizer:
     def _drop(self, x: Tensor, training: bool) -> Tensor:
         return ad.dropout(x, self.cfg.dropout, self.rng, training)
 
+    def _add_norm(self, x: Tensor, sub: Tensor, norm: str, training: bool) -> Tensor:
+        """layer_norm(x + dropout(sub)) with the gain and bias of `norm`, as
+        one tape op; the dropout mask is drawn where `_drop` would draw it."""
+        rate = self.cfg.dropout
+        keep = ad.dropout_mask(rate, self.rng, sub.shape, training)
+        return ad.layer_norm(x, self.params[f"{norm}.g"], self.params[f"{norm}.b"],
+                             residual=sub, keep=keep, rate=rate)
+
     def _encoder_layer(
         self, x: Tensor, i: int, use_conv: bool, training: bool, src_mask: np.ndarray | None
     ) -> Tensor:
@@ -220,13 +234,13 @@ class Summarizer:
             a, _ = conv_multi_head_attention(x, att, self.cfg.attention, src_mask)
         else:
             a, _ = multi_head_attention(x, x, att, self.cfg.attention.heads, _keys(src_mask))
-        x = ad.layer_norm(x + self._drop(a, training), p[f"enc.{i}.ln1.g"], p[f"enc.{i}.ln1.b"])
+        x = self._add_norm(x, a, f"enc.{i}.ln1", training)
         f = ad.linear(
             ad.relu(ad.linear(x, p[f"enc.{i}.ff.w1"], p[f"enc.{i}.ff.b1"])),
             p[f"enc.{i}.ff.w2"],
             p[f"enc.{i}.ff.b2"],
         )
-        return ad.layer_norm(x + self._drop(f, training), p[f"enc.{i}.ln2.g"], p[f"enc.{i}.ln2.b"])
+        return self._add_norm(x, f, f"enc.{i}.ln2", training)
 
     def _learned_source_embedding(self, src_ids: np.ndarray, training: bool) -> Tensor:
         d = self.cfg.d_model
@@ -315,15 +329,15 @@ class Summarizer:
         p = self.params
         heads = self.cfg.attention.heads
         a, _ = attend(x, *self_kv, self._block(f"dec.{i}.self"), heads, mask)
-        x = ad.layer_norm(x + self._drop(a, training), p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"])
+        x = self._add_norm(x, a, f"dec.{i}.ln1", training)
         c, cross_weights = attend(x, *cross_kv, self._block(f"dec.{i}.cross"), heads, cross_mask)
-        x = ad.layer_norm(x + self._drop(c, training), p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"])
+        x = self._add_norm(x, c, f"dec.{i}.ln2", training)
         f = ad.linear(
             ad.relu(ad.linear(x, p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"])),
             p[f"dec.{i}.ff.w2"],
             p[f"dec.{i}.ff.b2"],
         )
-        x = ad.layer_norm(x + self._drop(f, training), p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"])
+        x = self._add_norm(x, f, f"dec.{i}.ln3", training)
         return x, cross_weights
 
     def _decoder_states(
@@ -514,7 +528,11 @@ class Summarizer:
         mean over the batch. Returns (loss, lr).
         """
         src, lengths, tgt = self.pad_batch(batch)
+        # The gradient and moment buffers outlive the step: allocated before
+        # its first graph, they leave the heap that graph grew free for the
+        # next one.
         zero_grads(self.params)
+        opt_state.bind(self.params)
         loss, _ = self.sequence_loss(src, tgt, True, lengths)
         ad.backward(loss)
         lr = adam_noam_step(opt_state, self.params)

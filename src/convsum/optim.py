@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,32 +24,50 @@ def noam_rate(d_model: int, warmup: int, step: int) -> float:
     return d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
+class Init(NamedTuple):
+    """How a parameter starts: its shape, and `draw(rng, shape)` from the
+    model's generator, or the constant `fill` when there is no draw."""
+
+    shape: tuple[int, ...]
+    draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray] | None = None
+    fill: float = 0.0
+
+
 class Parameters(dict):
     """name -> parameter Tensor, with the values of all of them in one flat
     float64 buffer `theta` and their gradients in another, `grad`, laid out
     in insertion order.
 
-    Packing copies each tensor's values into its view of `theta` and rebinds
-    `.data` to that view, so a parameter is set with `p.data[...] = x`; one
-    whose `.data` is rebound no longer trains, and the next Adam step says
-    so. The first `zero_grads` (or Adam step) allocates `grad`, so a model
-    that only decodes never holds one; from then on a backward pass writes
-    each gradient into its view of it. `.grad` is None until written, so
-    `zero_grads` frees no memory.
+    A Tensor given is packed: its values are copied into its view of `theta`
+    and `.data` is rebound to that view, so a parameter is set with
+    `p.data[...] = x`; one whose `.data` is rebound no longer trains, and
+    the next Adam step says so. An `Init` is drawn from `rng` straight into
+    its view, in the order given, so building holds one drawn array at a
+    time beside `theta`. The first `zero_grads` (or Adam step) allocates
+    `grad`, so a model that only decodes never holds one; from then on a
+    backward pass writes each gradient into its view of it. `.grad` is None
+    until written, so `zero_grads` frees no memory.
     """
 
-    def __init__(self, params: dict[str, Tensor]):
-        super().__init__(params)
-        self.theta = np.empty(sum(p.data.size for p in params.values()))
+    def __init__(self, params: dict[str, Tensor | Init], rng: np.random.Generator | None = None):
+        super().__init__()
         self.grad: np.ndarray | None = None
         self.slots: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # name -> lo, hi, shape
         lo = 0
         for name, p in params.items():
-            self.slots[name] = (lo, lo + p.data.size, p.data.shape)
-            lo += p.data.size
+            size = math.prod(p.shape)
+            self.slots[name] = (lo, lo + size, tuple(p.shape))
+            lo += size
+        self.theta = np.empty(lo)
+        for name, p in params.items():
             data = self.view(self.theta, name)
-            data[...] = p.data
-            p.data = data
+            if isinstance(p, Init):
+                data[...] = p.fill if p.draw is None else p.draw(rng, p.shape)
+                p = Tensor(data, requires_grad=True)
+            else:
+                data[...] = p.data
+                p.data = data
+            self[name] = p
 
     def view(self, flat: np.ndarray, name: str) -> np.ndarray:
         """Parameter `name`'s view of a buffer laid out like `theta`."""

@@ -24,7 +24,7 @@ LOG_NAME = "loss.tsv"
 # glibc's mallopt parameters (malloc.h) and the values a training process uses
 _MALLOC_SETTINGS = (
     (-3, 32 << 20),  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
-    (-1, 128 << 20),  # M_TRIM_THRESHOLD: keep up to 128 MiB of free heap top
+    (-1, -1),  # M_TRIM_THRESHOLD: -1 never hands the free heap top back
     (-2, 64 << 20),  # M_TOP_PAD: grow the heap 64 MiB past each request
 )
 
@@ -33,12 +33,15 @@ _MALLOC_SETTINGS = (
 def _keep_heap_resident() -> None:
     """Once per process, on glibc: keep freed memory in the heap for reuse.
 
-    A train step frees its whole graph when it returns. By default glibc
+    A train step frees its graph as backward walks it. By default glibc
     serves large arrays with fresh mmaps and hands the heap top back to the
     system once it is free, so every step faults the same pages in again.
-    With these settings the next step reuses them. Each setting also turns
-    off glibc's adaptive mmap threshold, so they are chosen as one set:
-    top pad alone made long steps fault far more. A no-op elsewhere.
+    With these settings the heap only grows, to the largest step's graph,
+    and later steps reuse it. Trimming is off, not set to a size: a model
+    whose step frees more than any given threshold would hand pages back
+    that its next step faults in again. Each setting also turns off glibc's
+    adaptive mmap threshold, so they are chosen as one set: top pad alone
+    made long steps fault far more. A no-op elsewhere.
     """
     if platform.libc_ver()[0] != "glibc":
         return

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ class TestDropout:
         a = ad.dropout(x, 0.3, np.random.default_rng(7), training=True)
         b = ad.dropout(x, 0.3, np.random.default_rng(7), training=True)
         assert np.array_equal(a.data, b.data)
+
+
+    def test_output_and_gradient_are_the_inverted_dropout_formula_bitwise(self, rng):
+        x = ad.parameter(rng.normal(size=(4, 9)))
+        out = ad.dropout(x, 0.3, np.random.default_rng(7), training=True)
+        ad.backward(ad.tensor_sum(out))
+        scale = (np.random.default_rng(7).random((4, 9)) >= 0.3) / (1.0 - 0.3)
+        assert np.array_equal(out.data, x.data * scale)
+        assert np.array_equal(x.grad, np.ones((4, 9)) * scale)
 
 
 class TestLosses:
@@ -389,3 +399,105 @@ class TestNoGrad:
             t.join(timeout=10)
         assert not t.is_alive()
         assert seen == [True]
+
+
+class TestFusedResidualNorm:
+    """`layer_norm` with a residual branch is one op; the oracle is
+    layer_norm(add(x, dropout(sub))) as three ops."""
+
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 3, 8)])
+    @pytest.mark.parametrize("rate,training", [(0.0, True), (0.3, True), (0.3, False)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_composed_ops_bitwise(self, rng, shape, rate, training, x_grad):
+        t = {"x": ad.Tensor(rng.normal(size=shape), requires_grad=x_grad),
+             "sub": ad.parameter(rng.normal(size=shape)),
+             "g": ad.parameter(rng.normal(size=8) + 1.0),
+             "b": ad.parameter(rng.normal(size=8))}
+        r = _proj(rng, shape)
+
+        def fused(x, sub, g, b):
+            keep = ad.dropout_mask(rate, np.random.default_rng(7), shape) if training else None
+            return ad.layer_norm(x, g, b, residual=sub, keep=keep, rate=rate)
+
+        def composed(x, sub, g, b):
+            dropped = ad.dropout(sub, rate, np.random.default_rng(7), training)
+            return ad.layer_norm(ad.add(x, dropped), g, b)
+
+        got, got_g = _grads_of(fused, t, r)
+        want, want_g = _grads_of(composed, t, r)
+        assert np.array_equal(got, want)
+        assert got_g.keys() == want_g.keys()
+        for k in want_g:
+            assert np.array_equal(got_g[k], want_g[k]), k
+
+    def test_is_one_op_keeping_a_bool_mask(self, rng):
+        x, sub = ad.parameter(rng.normal(size=(4, 6))), ad.parameter(rng.normal(size=(4, 6)))
+        g, b = ad.parameter(np.ones(6)), ad.parameter(np.zeros(6))
+        keep = ad.dropout_mask(0.5, rng, (4, 6))
+        assert keep.dtype == bool
+        out = ad.layer_norm(x, g, b, residual=sub, keep=keep, rate=0.5)
+        assert out.op == "layer_norm" and out._parents == (x, sub, g, b)
+        assert ad.dropout_mask(0.0, None, (4, 6)) is None  # nothing drops: no mask, no draw
+
+    def test_no_grad_records_nothing(self, rng):
+        x, sub = ad.parameter(rng.normal(size=(3, 5))), ad.parameter(rng.normal(size=(3, 5)))
+        g, b = ad.parameter(np.ones(5)), ad.parameter(np.zeros(5))
+        with ad.no_grad():
+            out = ad.layer_norm(x, g, b, residual=sub)
+            want = ad.layer_norm(ad.add(x, sub), g, b)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert np.array_equal(out.data, want.data)
+
+    def test_finite_differences(self, rng):
+        x, sub = ad.parameter(rng.normal(size=(3, 5))), ad.parameter(rng.normal(size=(3, 5)))
+        g = ad.parameter(rng.normal(size=5) + 1.0)
+        b = ad.parameter(rng.normal(size=5))
+        keep = ad.dropout_mask(0.4, rng, (3, 5))
+        r = _proj(rng, (3, 5))
+        check_grads(
+            lambda: ad.tensor_sum(ad.mul(ad.layer_norm(x, g, b, residual=sub, keep=keep,
+                                                       rate=0.4), r)),
+            {"x": x, "sub": sub, "g": g, "b": b},
+        )
+
+    def test_residual_shape_must_match(self, rng):
+        x = ad.constant(rng.normal(size=(3, 5)))
+        with pytest.raises(ContractError, match="residual"):
+            ad.layer_norm(x, ad.constant(np.ones(5)), ad.constant(np.zeros(5)),
+                          residual=ad.constant(np.zeros(5)))
+
+
+class TestFreedGraph:
+    """`backward` frees each node once its closure has run."""
+
+    def test_intermediates_keep_no_grad_parents_or_closure(self, rng):
+        w = ad.parameter(rng.normal(size=(4, 3)))
+        x = ad.constant(rng.normal(size=(5, 4)))
+        h = ad.linear(x, w)
+        r = ad.relu(h)
+        s = ad.softmax(r)
+        loss = ad.tensor_sum(ad.mul(s, s))
+        ad.backward(loss)
+        for t in (h, r, s):
+            assert t.grad is None and t._parents == () and t._backward is ad._consumed
+        assert loss._parents == () and np.array_equal(loss.grad, 1.0)
+        assert w.grad.shape == (4, 3) and x.grad is None  # the leaf keeps its gradient
+
+    def test_backward_frees_what_it_has_walked(self):
+        # A 40-op chain of 1 MiB arrays: holding each node and its gradient
+        # until the pass ends would add ~40 MiB to the peak.
+        mib = 1 << 20
+        h = x = ad.parameter(np.ones(mib // 8))
+        for _ in range(40):
+            h = ad.relu(h)
+        loss = ad.tensor_sum(h)
+        del h
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x.grad, np.ones(mib // 8))
+        assert peak - base < 8 * mib

@@ -421,14 +421,20 @@ class TestCliTrainAndUse:
         ("--beta2", "-0.5", "beta2"),
         ("--adam-eps", "0", "eps"),
         ("--adam-eps", "nan", "eps"),
+        ("--d-model", "0", "d_model"),  # 0 heads divide it; noam_rate divided by 0
+        ("--ff-size", "0", "ff_size"),
+        ("--seed", "-1", "seed"),
+        ("--provider-seed", "-1", "provider_seed"),
+        ("--provider-window", "4", "provider_window"),  # below the window of 512
     ])
     def test_invalid_run_setting_exits_2_before_data_is_read(self, trained, tmp_path,
                                                             capsys, flag, value, named):
-        # The vocab and corpus do not exist: reading either would exit 3.
+        # The vocab and corpus do not exist: reading either would exit 3. The
+        # run names a provider (a valid one) so that its settings are checked.
         _, _, _, cfg = trained
         absent = RunConfig(**{**cfg.to_dict(), "vocab": str(tmp_path / "no-vocab.txt"),
                               "corpus": str(tmp_path / "no-corpus.jsonl"),
-                              "checkpoint_dir": str(tmp_path / "ckpt")})
+                              "checkpoint_dir": str(tmp_path / "ckpt"), "provider": "stub"})
         cfg_path = tmp_path / "run.cfg"
         _write_config(str(cfg_path), absent)
         assert cli.main(["train", "--config", str(cfg_path), flag, value]) == 2

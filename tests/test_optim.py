@@ -3,7 +3,7 @@ import pytest
 
 from convsum.autodiff import Tensor
 from convsum.errors import ContractError, NonFiniteError
-from convsum.optim import OptimizerState, Parameters, adam_noam_step, noam_rate, zero_grads
+from convsum.optim import Init, OptimizerState, Parameters, adam_noam_step, noam_rate, zero_grads
 
 
 class TestSchedule:
@@ -148,3 +148,17 @@ class TestInPlaceAdam:
         restored, opt2 = restore_model(load_checkpoint(path))
         self._steps(rng, restored, opt2, ref, ref_m, ref_v, 4)
         assert opt2.step == 8
+
+
+def test_inits_are_drawn_into_the_arena_in_the_order_given():
+    def normal(rng, shape):
+        return rng.normal(0.0, 1.0, shape)
+
+    params = Parameters({"a": Init((2, 3), normal), "g": Init((4,), fill=1.0),
+                         "b": Init((5,)), "c": Init((3,), normal)}, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    want = {"a": normal(rng, (2, 3)), "g": np.ones(4), "b": np.zeros(5), "c": normal(rng, (3,))}
+    assert list(params) == list(want)
+    for name, p in params.items():
+        assert p.requires_grad and p.data.base is params.theta
+        assert np.array_equal(p.data, want[name]), name
