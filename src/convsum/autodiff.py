@@ -2,10 +2,18 @@
 
 Minimal tape engine: every op builds a node holding its inputs and a backward
 closure; `backward(loss)` walks the recorded graph in reverse topological
-order. Values are checked for NaN/Inf after every forward op and every
-backward contribution, and the offending op is named (fail-fast policy).
-Under `no_grad()` ops record nothing: forward-only work such as decoding
-builds no graph and leaves no reference cycles behind.
+order. Under `no_grad()` ops record nothing: forward-only work such as
+decoding builds no graph and leaves no reference cycles behind.
+
+Finite checks. By default every forward op's output and every backward
+contribution is checked for NaN/Inf as it is made, and the first one that is
+not finite raises `NonFiniteError` naming its op (fail-fast). A step run
+through `checked_step` defers them: its ops check nothing, and the step's
+outputs (a train step's loss and gradients, a beam step's probabilities and
+cached keys/values) are checked once at its end. Only if one of them is not
+finite is the step replayed with per-op checks on, so the error names the
+same op it would have named without deferral; a step that succeeds pays one
+check per output instead of one per op. The check mode is per thread.
 
 A node's closure refers back to the node, so a recorded graph is a web of
 reference cycles. `backward` breaks them as it walks: once a node's closure
@@ -21,18 +29,23 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, DegenerateInputError, NonFiniteError
+from .errors import ContractError, ConvsumError, DegenerateInputError, NonFiniteError
 
 
-def _check_finite(op: str, arr: np.ndarray) -> None:
+def _finite(arr: np.ndarray) -> bool:
     # One-pass check: any NaN/Inf propagates into the sum. (A sum overflowing
     # on all-finite entries would need ~1e308-scale values, which no healthy
     # desk-scale run produces.)
-    if not math.isfinite(float(arr.sum())):
+    return math.isfinite(np.add.reduce(arr, axis=None))
+
+
+def _check_finite(op: str, arr: np.ndarray) -> None:
+    if not _finite(arr):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -83,37 +96,80 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-class _GradMode(threading.local):
-    # Per thread, so a decode on one thread cannot switch off recording for a
-    # training step on another.
-    enabled = True
+class _Mode(threading.local):
+    # Per thread, so a decode on one thread cannot switch off recording or
+    # per-op checks for a training step on another.
+    grad = True  # ops record a graph
+    per_op = True  # ops check their outputs and gradient contributions
 
 
-_grad_mode = _GradMode()
+_mode = _Mode()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Record no graph inside the block: results keep no parents and no
     backward closure, and never require grad. Finite checks still run."""
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    prev = _mode.grad
+    _mode.grad = False
     try:
         yield
     finally:
-        _grad_mode.enabled = prev
+        _mode.grad = prev
+
+
+def checked_step(step: Callable, outputs: Callable, reset: Callable | None = None):
+    """Run `step()` with per-op finite checks deferred, then check once each
+    array in `outputs(result)`; returns the step's result.
+
+    If one of them is not finite, or the deferred run raises a convsum error
+    (a NaN can surface as, say, a fully masked softmax row), `reset()` undoes
+    what the step consumed (a generator's draws, written gradients) and the
+    step runs again with per-op checks on: it then raises what it raises
+    without deferral, `NonFiniteError` naming the first op that made a
+    non-finite value. The deferred run ignores numpy's floating-point
+    warnings, which a NaN flowing through later ops would print; the replay
+    runs under the caller's settings. Inside another deferred step, `step()`
+    simply runs: the outer step checks.
+    """
+    if not _mode.per_op:
+        return step()
+    _mode.per_op = False
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            result = step()
+        ok = all(_finite(a) for a in outputs(result))
+    except ConvsumError:
+        ok = False
+    finally:
+        _mode.per_op = True
+    if ok:
+        return result
+    if reset is not None:
+        reset()
+    return step()
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
     """The op's output node. `bwd(out)` pushes out.grad into the parents; a
     recorded node keeps it bound to itself as the zero-argument `_backward`."""
-    _check_finite(op, data)
-    out = Tensor(data)
-    out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = lambda: bwd(out)
+    if _mode.per_op:
+        _check_finite(op, data)
+    # Slots filled directly: an op's data is already float64 (0-d results of
+    # numpy arithmetic come back as scalars and are wrapped).
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = out._grad_buf = out._backward = None
+    out._parents = ()
     out.op = op
+    out.requires_grad = False
+    if _mode.grad:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = lambda: bwd(out)
+                break
     return out
 
 
@@ -126,7 +182,8 @@ def _acc(node: Tensor, g: np.ndarray, op: str) -> None:
     """
     if not node.requires_grad:
         return
-    _check_finite(f"backward of '{op}'", g)
+    if _mode.per_op:
+        _check_finite(f"backward of '{op}'", g)
     if node.grad is not None:
         node.grad += g
     elif node._grad_buf is None:
@@ -161,8 +218,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(f"add: incompatible shapes {a.shape} and {b.shape}") from e
 
     def bwd(out):
-        _acc(a, _unbroadcast(out.grad, a.data.shape), "add")
-        _acc(b, _unbroadcast(out.grad, b.data.shape), "add")
+        for t in (a, b):
+            if t.requires_grad:
+                _acc(t, _unbroadcast(out.grad, t.data.shape), "add")
 
     return _result(data, (a, b), bwd, "add")
 
@@ -174,8 +232,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(f"mul: incompatible shapes {a.shape} and {b.shape}") from e
 
     def bwd(out):
-        _acc(a, _unbroadcast(out.grad * b.data, a.data.shape), "mul")
-        _acc(b, _unbroadcast(out.grad * a.data, b.data.shape), "mul")
+        if a.requires_grad:
+            _acc(a, _unbroadcast(out.grad * b.data, a.data.shape), "mul")
+        if b.requires_grad:
+            _acc(b, _unbroadcast(out.grad * a.data, b.data.shape), "mul")
 
     return _result(data, (a, b), bwd, "mul")
 
@@ -207,10 +267,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
 
     def bwd(out):
-        _acc(a, np.transpose(out.grad, inv), "transpose")
+        _acc(a, np.transpose(out.grad, np.argsort(axes)), "transpose")
 
     return _result(data, (a,), bwd, "transpose")
 
@@ -231,14 +290,14 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat: empty tensor list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bwd(out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.grad.ndim
+        sl, lo = [slice(None)] * out.grad.ndim, 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
             sl[axis] = slice(lo, hi)
             _acc(t, out.grad[tuple(sl)], "concat")
+            lo = hi
 
     return _result(data, tuple(tensors), bwd, "concat")
 
@@ -266,8 +325,8 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     # split by sign for overflow-free exp
-    data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                    np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(out):
         _acc(a, out.grad * data * (1.0 - data), "sigmoid")
@@ -297,7 +356,8 @@ def take(a: Tensor, idx: np.ndarray) -> Tensor:
             # the scatter would land in the copy.
             a.grad = np.zeros(a.data.shape) if a.grad is None else np.ascontiguousarray(a.grad)
             rows = out.grad.reshape(idx.size, -1)
-            _check_finite("backward of 'take'", rows)
+            if _mode.per_op:
+                _check_finite("backward of 'take'", rows)
             kernels.scatter_add_rows(a.grad.reshape(a.data.shape[0], -1), idx.ravel(), rows)
 
     return _result(data, (a,), bwd, "take")
@@ -403,11 +463,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
         if residual.data.shape != x.data.shape:
             raise ContractError(f"layer_norm: residual {residual.shape} must match input {x.shape}")
         s = s + (residual.data if keep is None else residual.data * (keep / (1.0 - rate)))
-    mu = s.sum(axis=-1, keepdims=True) / d  # bitwise `mean`, without its wrapper
+    # Mean, variance and the affine map, in place wherever a temporary is not
+    # read again: bitwise the out-of-place expressions (products commute exactly).
+    mu = np.add.reduce(s, axis=-1, keepdims=True)
+    mu /= d
     xc = s - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    data = gain.data * (xc * inv) + bias.data
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    data = xc * inv
+    data *= gain.data
+    data += bias.data
 
     def bwd(out):
         g = out.grad

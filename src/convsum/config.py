@@ -96,9 +96,9 @@ class RunConfig:
         return self._sub(OptimizerState)
 
     def validate(self) -> "RunConfig":
-        """Check the run loop's counts, the seeds and the provider's window,
-        and construct every sub-config, so an invalid value fails here,
-        before any data is read.
+        """Check the run loop's counts, the seeds and the provider's width
+        and window, and construct every sub-config, so an invalid value fails
+        here, before any data is read.
 
         A sub-config's own ContractError is re-raised as a ConfigError: here
         the bad value came from a config file or a flag.
@@ -118,6 +118,8 @@ class RunConfig:
             raise ConfigError(str(e)) from e
         if self.provider not in ("none", "stub"):
             raise ConfigError(f"unknown provider '{self.provider}' (expected 'none' or 'stub')")
+        if self.provider != "none" and self.provider_width < 1:
+            raise ConfigError(f"provider_width must be >= 1, got {self.provider_width}")
         if self.provider != "none" and self.provider_window < self.window:
             raise ConfigError(f"provider_window {self.provider_window} is smaller than "
                               f"window {self.window}: a window would not fit the provider")

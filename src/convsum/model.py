@@ -525,7 +525,9 @@ class Summarizer:
         """One optimizer update on a batch of (source ids, BOS..EOS target ids).
 
         The batch is padded and runs as one graph. Loss is the token-weighted
-        mean over the batch. Returns (loss, lr).
+        mean over the batch. Returns (loss, lr). Finite checks run once on the
+        loss and the gradients (`autodiff.checked_step`); a failure replays the
+        step to name the op and leaves the parameters and Adam state as they were.
         """
         src, lengths, tgt = self.pad_batch(batch)
         # The gradient and moment buffers outlive the step: allocated before
@@ -533,8 +535,22 @@ class Summarizer:
         # next one.
         zero_grads(self.params)
         opt_state.bind(self.params)
-        loss, _ = self.sequence_loss(src, tgt, True, lengths)
-        ad.backward(loss)
+        rng_state = self.rng.bit_generator.state
+
+        def step() -> Tensor:
+            loss, _ = self.sequence_loss(src, tgt, True, lengths)
+            ad.backward(loss)
+            return loss
+
+        def outputs(loss: Tensor) -> list[np.ndarray]:
+            grad = self.params.grad
+            return [loss.data, *(grad[lo:hi] for lo, hi in self.params.gradient_runs()[1])]
+
+        def reset() -> None:  # the replay draws the same dropout masks
+            self.rng.bit_generator.state = rng_state
+            zero_grads(self.params)
+
+        loss = ad.checked_step(step, outputs, reset)
         lr = adam_noam_step(opt_state, self.params)
         return loss.item(), lr
 
@@ -562,28 +578,43 @@ class DecoderState:
         self.rows = 1
 
     def step(self, last_tokens) -> tuple[np.ndarray, np.ndarray]:
-        """Feed last_tokens (B,); returns (probabilities (B, V), source attention (B, L))."""
+        """Feed last_tokens (B,); returns (probabilities (B, V), source attention (B, L)).
+
+        Finite checks run once, on those and on the new key/value rows
+        (`autodiff.checked_step`); the caches and position change only after
+        they pass, so a step that raises leaves the state as it was.
+        """
         m = self.model
         ids = np.asarray(last_tokens, dtype=np.int64).reshape(-1)
-        B, d = ids.size, m.cfg.d_model
+        B, d, n = ids.size, m.cfg.d_model, m.cfg.dec_layers
         if self.pos == 0 and not (ids == m.vocab.bos_id).all():
             raise ContractError("decode: the first step must feed BOS")
         if self.pos > 0 and B != self.rows:
             raise ContractError(f"decode: {B} tokens fed to {self.rows} rows")
-        with ad.no_grad():
+
+        def run():
+            keys, values = [], []
             pe = _sinusoid(self.pos + 1, d)[self.pos:]
             x = m._target_embedding(ids[:, None], pe, False)  # (B, 1, d)
-            for i in range(m.cfg.dec_layers):
+            for i in range(n):
                 k, v = project_kv(x, m._block(f"dec.{i}.self"))
                 if self.pos > 0:
                     k = ad.constant(np.concatenate([self.keys[i], k.data], axis=1))
                     v = ad.constant(np.concatenate([self.values[i], v.data], axis=1))
-                self.keys[i], self.values[i] = k.data, v.data
+                keys.append(k.data)
+                values.append(v.data)
                 x, cross = m._decoder_layer(x, i, (k, v), self.cross_kv[i], None, None, False)
             probs, attn = m._output_head(ad.reshape(x, (B, d)), cross, self.memory, self.src_ids)
+            return probs.data, attn.data, keys, values
+
+        def outputs(r):  # the new key/value rows; the cached ones passed when they were new
+            return (r[0], r[1], *(kv[:, -1] for kv in r[2] + r[3]))
+
+        with ad.no_grad():
+            probs, attn, self.keys, self.values = ad.checked_step(run, outputs)
         self.pos += 1
         self.rows = B
-        return probs.data, attn.data
+        return probs, attn
 
     def reorder(self, rows) -> None:
         """Row r becomes the old row rows[r]; rows may repeat or drop rows."""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ class TestBasics:
         big = ad.parameter(np.array([1e308]))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="mul"):
             ad.mul(big, big)
+
+    def test_add_and_mul_skip_inputs_that_want_no_gradient(self, rng, monkeypatch):
+        x = ad.parameter(rng.normal(size=(3, 4)))
+        pe = ad.constant(rng.normal(size=(4,)))
+        loss = ad.tensor_sum(ad.mul(ad.add(x, pe), pe))
+        reduced = []
+        unbroadcast = ad._unbroadcast
+        monkeypatch.setattr(ad, "_unbroadcast",
+                            lambda g, shape: (reduced.append(shape), unbroadcast(g, shape))[1])
+        ad.backward(loss)
+        assert reduced == [(3, 4), (3, 4)]  # never the constant's (4,)
+        assert np.array_equal(x.grad, np.broadcast_to(pe.data, (3, 4)))
 
 
 class TestSoftmax:
@@ -399,6 +412,97 @@ class TestNoGrad:
             t.join(timeout=10)
         assert not t.is_alive()
         assert seen == [True]
+
+
+class TestCheckedStep:
+    """`checked_step`: per-op checks deferred to the step's outputs, and a
+    per-op replay to name the op when one of them is not finite."""
+
+    def test_success_runs_once_with_per_op_checks_off(self):
+        calls = []
+
+        def step():
+            calls.append(ad._mode.per_op)
+            return ad.mul(ad.constant([np.nan]), ad.constant([0.0]))  # no per-op check
+
+        out = ad.checked_step(step, lambda t: (), reset=lambda: calls.append("reset"))
+        assert calls == [False] and np.isnan(out.data[0])
+        assert ad._mode.per_op
+
+    def test_non_finite_output_replays_and_names_the_op(self):
+        calls = []
+        x = ad.parameter([np.inf, 1.0])
+
+        def step():
+            calls.append(ad._mode.per_op)
+            return ad.softmax(ad.scale(x, 2.0))  # inf - inf: NaN from softmax
+
+        with warnings.catch_warnings():  # the deferred pass prints no RuntimeWarning
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="'scale'"):
+                ad.checked_step(step, lambda t: (t.data,), reset=lambda: calls.append("reset"))
+        assert calls == [False, "reset", True]
+
+    def test_error_in_deferred_pass_replays(self):
+        # With checks deferred, the -inf row reaches the softmax and raises
+        # there as fully masked; the replay names the op that made it.
+        x = ad.parameter([[-np.inf, -np.inf]])
+
+        def step():
+            return ad.softmax(ad.scale(x, 1.0), mask=np.array([[True, True]]))
+
+        with pytest.raises(NonFiniteError, match="'scale'"):
+            ad.checked_step(step, lambda t: (t.data,))
+
+    def test_backward_contribution_is_named(self):
+        # A NaN that only the backward pass makes reaches the outputs as a
+        # gradient; the replay names the op whose backward made it.
+        w = ad.parameter([1.0, 2.0])
+
+        def nan_grad(a):
+            return ad._result(a.data.copy(), (a,),
+                              lambda out: ad._acc(a, np.full(a.shape, np.nan), "nan_grad"),
+                              "nan_grad")
+
+        def step():
+            w.grad = None
+            loss = ad.tensor_sum(nan_grad(w))
+            ad.backward(loss)
+            return loss
+
+        with pytest.raises(NonFiniteError, match="backward of 'nan_grad'"):
+            ad.checked_step(step, lambda loss: (loss.data, w.grad))
+
+    def test_mode_restored_after_exception(self):
+        def step():
+            raise RuntimeError("inside")
+
+        with pytest.raises(RuntimeError):
+            ad.checked_step(step, lambda r: ())
+        assert ad._mode.per_op
+        with pytest.raises(NonFiniteError, match="mul"):
+            ad.mul(ad.constant([np.nan]), ad.constant([1.0]))
+
+    def test_mode_is_per_thread(self):
+        import threading
+
+        raised = []
+
+        def other():
+            try:
+                ad.mul(ad.constant([np.nan]), ad.constant([1.0]))
+            except NonFiniteError:
+                raised.append(True)
+
+        def step():
+            t = threading.Thread(target=other)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            return ad.mul(ad.constant([np.nan]), ad.constant([1.0]))  # deferred here
+
+        ad.checked_step(step, lambda r: ())
+        assert raised == [True]
 
 
 class TestFusedResidualNorm:

@@ -426,6 +426,7 @@ class TestCliTrainAndUse:
         ("--seed", "-1", "seed"),
         ("--provider-seed", "-1", "provider_seed"),
         ("--provider-window", "4", "provider_window"),  # below the window of 512
+        ("--provider-width", "0", "provider_width"),  # StubProvider rejected it only in build_model
     ])
     def test_invalid_run_setting_exits_2_before_data_is_read(self, trained, tmp_path,
                                                             capsys, flag, value, named):

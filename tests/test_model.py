@@ -9,7 +9,7 @@ from convsum import autodiff as ad
 from convsum.attention import AttentionConfig
 from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from convsum.config import RunConfig, build_model
-from convsum.errors import ConfigError, ContractError
+from convsum.errors import ConfigError, ContractError, NonFiniteError
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.model import ModelConfig, Summarizer, _sinusoid
 from convsum.optim import OptimizerState, zero_grads
@@ -765,12 +765,103 @@ class TestOpCounts:
         assert nodes == 79  # 99 with add and dropout ops beside each layer norm
 
     def test_ops_per_decoder_step(self, monkeypatch):
+        from convsum import attention
+
         model, batch = _gate_model()
         src = batch[0][0]
         state = model.start_decode(model.encode(src), src)
         state.step([model.vocab.bos_id] * 4)
         ops = []
-        check = ad._check_finite
-        monkeypatch.setattr(ad, "_check_finite", lambda op, arr: (ops.append(op), check(op, arr)))
+        result = ad._result
+        for module in (ad, attention):  # attention imports _result by name
+            monkeypatch.setattr(module, "_result",
+                                lambda d, p, b, op: (ops.append(op), result(d, p, b, op))[1])
         state.step(batch[0][1][1:5])
         assert len(ops) == 49  # 55 with an add op beside each layer norm
+
+    def test_finite_checks_per_decoder_step(self, monkeypatch):
+        # One check per output (probabilities, attention, the two layers' new
+        # key and value rows), not one per op.
+        model, batch = _gate_model()
+        src = batch[0][0]
+        state = model.start_decode(model.encode(src), src)
+        state.step([model.vocab.bos_id] * 4)
+        checks = []
+        finite = ad._finite
+        monkeypatch.setattr(ad, "_finite", lambda arr: (checks.append(arr.shape), finite(arr))[1])
+        state.step(batch[0][1][1:5])
+        assert len(checks) <= 6
+
+
+class TestDeferredChecks:
+    """Train and beam steps check their outputs once; a non-finite output
+    replays the step with per-op checks, so the error still names the op."""
+
+    def _trained(self):
+        model, batch = _gate_model()
+        opt = OptimizerState(d_model=64, warmup=10)
+        model.train_step(batch, opt)  # so the moments are not zero
+        return model, batch, opt
+
+    def test_forward_nan_in_train_step_names_op_and_changes_nothing(self):
+        model, batch, opt = self._trained()
+        model.params["dec.1.ff.w2"].data[3, 5] = np.nan
+        before = (opt.step, model.params.theta.tobytes(),
+                  {k: a.tobytes() for k, a in opt.m.items()},
+                  {k: a.tobytes() for k, a in opt.v.items()})
+        with pytest.raises(NonFiniteError, match="'linear'"):
+            model.train_step(batch, opt)
+        after = (opt.step, model.params.theta.tobytes(),
+                 {k: a.tobytes() for k, a in opt.m.items()},
+                 {k: a.tobytes() for k, a in opt.v.items()})
+        assert after == before
+        # the generator is where the per-op policy leaves it: one forward
+        # pass's dropout draws up to the failing op
+        ref, _, _ = self._trained()
+        ref.params["dec.1.ff.w2"].data[3, 5] = np.nan
+        src, lengths, tgt = ref.pad_batch(batch)
+        with pytest.raises(NonFiniteError, match="'linear'"):
+            ref.sequence_loss(src, tgt, True, lengths)
+        assert model.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_backward_only_nan_in_train_step_names_backward_op(self, monkeypatch):
+        model, batch, opt = self._trained()
+        theta = model.params.theta.tobytes()
+
+        def relu_nan_grad(a):
+            def bwd(out):
+                ad._acc(a, np.full(a.shape, np.nan), "relu_nan_grad")
+            return ad._result(np.maximum(a.data, 0.0), (a,), bwd, "relu_nan_grad")
+
+        monkeypatch.setattr(ad, "relu", relu_nan_grad)
+        with pytest.raises(NonFiniteError, match="backward of 'relu_nan_grad'"):
+            model.train_step(batch, opt)
+        assert model.params.theta.tobytes() == theta and opt.step == 1
+
+    def test_inf_in_output_bias_fails_beam_search_naming_op(self):
+        model, batch = _gate_model()
+        model.params["gen.b"].data[7] = np.inf
+        with pytest.raises(NonFiniteError, match="'linear'"):
+            beam_search(model, batch[0][0], DecodingConfig(4, 5, 5))
+
+    def test_failed_decoder_step_leaves_state_unchanged(self):
+        model, batch = _gate_model()
+        src, tokens = batch[0][0], batch[0][1]
+        memory = model.encode(src)
+        state, ref = model.start_decode(memory, src), model.start_decode(memory, src)
+        for s in (state, ref):
+            s.step([model.vocab.bos_id] * 4)
+            s.step(tokens[1:5])
+        keys, values = list(state.keys), list(state.values)
+        snapshot = [a.tobytes() for a in keys + values]
+        w2 = model.params["dec.1.ff.w2"].data
+        good = w2[0, 0]
+        w2[0, 0] = np.nan  # layer 0's keys/values are already computed when layer 1 fails
+        with pytest.raises(NonFiniteError, match="'linear'"):
+            state.step(tokens[2:6])
+        assert (state.pos, state.rows) == (2, 4)
+        assert all(a is b for a, b in zip(state.keys + state.values, keys + values))
+        assert [a.tobytes() for a in state.keys + state.values] == snapshot
+        w2[0, 0] = good
+        got, want = state.step(tokens[2:6]), ref.step(tokens[2:6])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
