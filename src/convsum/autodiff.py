@@ -9,11 +9,12 @@ Finite checks. By default every forward op's output and every backward
 contribution is checked for NaN/Inf as it is made, and the first one that is
 not finite raises `NonFiniteError` naming its op (fail-fast). A step run
 through `checked_step` defers them: its ops check nothing, and the step's
-outputs (a train step's loss and gradients, a beam step's probabilities and
-cached keys/values) are checked once at its end. Only if one of them is not
-finite is the step replayed with per-op checks on, so the error names the
-same op it would have named without deferral; a step that succeeds pays one
-check per output instead of one per op. The check mode is per thread.
+outputs are checked once (a train step checks its loss, and Adam's pre-pass
+its gradients; a beam step's probabilities and new cached keys/values are
+checked at its end). Only if one of them is not finite is the step replayed
+with per-op checks on, so the error names the same op it would have named
+without deferral; a step that succeeds pays one check per output instead of
+one per op. The check mode is per thread.
 
 A node's closure refers back to the node, so a recorded graph is a web of
 reference cycles. `backward` breaks them as it walks: once a node's closure
@@ -118,9 +119,11 @@ def no_grad():
         _mode.grad = prev
 
 
-def checked_step(step: Callable, outputs: Callable, reset: Callable | None = None):
+def checked_step(step: Callable, outputs: Callable = lambda result: (),
+                 reset: Callable | None = None):
     """Run `step()` with per-op finite checks deferred, then check once each
-    array in `outputs(result)`; returns the step's result.
+    array in `outputs(result)`; returns the step's result. A step that checks
+    its own outputs, raising `NonFiniteError`, needs no `outputs`.
 
     If one of them is not finite, or the deferred run raises a convsum error
     (a NaN can surface as, say, a fully masked softmax row), `reset()` undoes

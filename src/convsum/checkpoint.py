@@ -64,6 +64,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; its run config is validated like a config file's."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as e:
@@ -85,7 +86,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             elif key.startswith("v:"):
                 v[key[2:]] = data[key]
     return Checkpoint(
-        run_config=RunConfig.from_dict(meta["run_config"]),
+        run_config=RunConfig.from_dict(meta["run_config"]).validate(),
         vocab_tokens=list(meta["vocab"]),
         params=params,
         m=m,

@@ -107,10 +107,6 @@ def _linear_init(din: int, dout: int) -> tuple[Init, Init]:
     return Init((din, dout), lambda rng, shape: rng.uniform(-lim, lim, shape)), Init((dout,))
 
 
-def _norm_init(d: int) -> tuple[Init, Init]:
-    return Init((d,), fill=1.0), Init((d,))
-
-
 def _embedding_init(V: int, d: int) -> Init:
     return Init((V, d), lambda rng, shape: rng.normal(0.0, d ** -0.5, shape))
 
@@ -165,12 +161,12 @@ class Summarizer:
             for k, t in attention_inits(d).items():
                 p[f"{prefix}.{k}"] = t
 
-        def put_block(prefix: str):
-            put_attention(f"{prefix}.att")
-            p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"] = _norm_init(d)
-            p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"] = _linear_init(d, cfg.ff_size)
-            p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"] = _linear_init(cfg.ff_size, d)
-            p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"] = _norm_init(d)
+        def put_norm(prefix: str):
+            p[f"{prefix}.g"], p[f"{prefix}.b"] = Init((d,), fill=1.0), Init((d,))
+
+        def put_feed_forward(prefix: str):
+            p[f"{prefix}.w1"], p[f"{prefix}.b1"] = _linear_init(d, cfg.ff_size)
+            p[f"{prefix}.w2"], p[f"{prefix}.b2"] = _linear_init(cfg.ff_size, d)
 
         if cfg.integration in ("none", "concatenation"):
             p["src_embed"] = _embedding_init(V, d)
@@ -179,7 +175,10 @@ class Summarizer:
         if cfg.integration == "concatenation":
             p["cat_proj.w"], p["cat_proj.b"] = _linear_init(d + cfg.provider_width, d)
         for i in range(cfg.enc_layers):
-            put_block(f"enc.{i}")
+            put_attention(f"enc.{i}.att")
+            put_norm(f"enc.{i}.ln1")
+            put_feed_forward(f"enc.{i}.ff")
+            put_norm(f"enc.{i}.ln2")
 
         if cfg.decoder_conditioned:
             p["dec_proj.w"], p["dec_proj.b"] = _linear_init(cfg.provider_width, d)
@@ -187,12 +186,11 @@ class Summarizer:
             p["tgt_embed"] = _embedding_init(V, d)
         for i in range(cfg.dec_layers):
             put_attention(f"dec.{i}.self")
-            p[f"dec.{i}.ln1.g"], p[f"dec.{i}.ln1.b"] = _norm_init(d)
+            put_norm(f"dec.{i}.ln1")
             put_attention(f"dec.{i}.cross")
-            p[f"dec.{i}.ln2.g"], p[f"dec.{i}.ln2.b"] = _norm_init(d)
-            p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"] = _linear_init(d, cfg.ff_size)
-            p[f"dec.{i}.ff.w2"], p[f"dec.{i}.ff.b2"] = _linear_init(cfg.ff_size, d)
-            p[f"dec.{i}.ln3.g"], p[f"dec.{i}.ln3.b"] = _norm_init(d)
+            put_norm(f"dec.{i}.ln2")
+            put_feed_forward(f"dec.{i}.ff")
+            put_norm(f"dec.{i}.ln3")
 
         p["gen.w"], p["gen.b"] = _linear_init(d, V)
         if cfg.copy:
@@ -228,25 +226,26 @@ class Summarizer:
     def _encoder_layer(
         self, x: Tensor, i: int, use_conv: bool, training: bool, src_mask: np.ndarray | None
     ) -> Tensor:
-        p = self.params
         att = self._block(f"enc.{i}.att")
         if use_conv:
             a, _ = conv_multi_head_attention(x, att, self.cfg.attention, src_mask)
         else:
             a, _ = multi_head_attention(x, x, att, self.cfg.attention.heads, _keys(src_mask))
         x = self._add_norm(x, a, f"enc.{i}.ln1", training)
-        f = ad.linear(
-            ad.relu(ad.linear(x, p[f"enc.{i}.ff.w1"], p[f"enc.{i}.ff.b1"])),
-            p[f"enc.{i}.ff.w2"],
-            p[f"enc.{i}.ff.b2"],
-        )
-        return self._add_norm(x, f, f"enc.{i}.ln2", training)
+        return self._feed_forward(x, f"enc.{i}.ff", f"enc.{i}.ln2", training)
 
-    def _learned_source_embedding(self, src_ids: np.ndarray, training: bool) -> Tensor:
-        d = self.cfg.d_model
-        e = ad.embedding_lookup(self.params["src_embed"], src_ids) * math.sqrt(d)
-        e = e + ad.constant(_sinusoid(src_ids.shape[-1], d))
-        return self._drop(e, training)
+    def _feed_forward(self, x: Tensor, prefix: str, norm: str, training: bool) -> Tensor:
+        """The feed-forward sublayer `prefix` on x, added to x and normed by `norm`."""
+        p = self.params
+        f = ad.linear(ad.relu(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])),
+                      p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+        return self._add_norm(x, f, norm, training)
+
+    def _embedding(self, table: str, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
+        """Rows of embedding `table` for ids (..., N), scaled by sqrt(d_model),
+        plus sinusoid rows pe (N or 1, d), then dropout."""
+        x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
+        return self._drop(x + ad.constant(pe), training)
 
     def _provider_context(self, src_ids: np.ndarray, src_mask: np.ndarray | None) -> Tensor:
         """Provider embeddings (..., L, width) of each source, zero on padding."""
@@ -267,36 +266,24 @@ class Summarizer:
         src_ids = np.asarray(src_ids, dtype=np.int64)
         if src_ids.size == 0:
             raise ContractError("encode: zero-length input")
-        cfg = self.cfg
-        conv_at = set(cfg.attention.conv_layers)
-
-        if cfg.integration == "none":
-            x = self._learned_source_embedding(src_ids, training)
-            for i in range(cfg.enc_layers):
-                x = self._encoder_layer(x, i, i in conv_at, training, src_mask)
-            return x
-
+        cfg, p = self.cfg, self.params
+        # concatenation: a conv branch over learned embeddings, joined with the
+        # raw provider branch on the feature axis and projected, then the plain
+        # layers from `join` on
+        join = cfg.conv_branch_layers if cfg.integration == "concatenation" else None
+        conv_at = range(join) if join else cfg.attention.conv_layers
         if cfg.integration == "stacking":
             ctx = self._provider_context(src_ids, src_mask)
-            x = ad.linear(ctx, self.params["ctx_proj.w"], self.params["ctx_proj.b"])
-            x = self._drop(x, training)
-            for i in range(cfg.enc_layers):
-                x = self._encoder_layer(x, i, i in conv_at, training, src_mask)
-            return x
-
-        # concatenation: conv branch over learned embeddings, provider branch raw,
-        # joined on the feature axis and projected, then the plain stack
-        n_conv = cfg.conv_branch_layers
-        a = self._learned_source_embedding(src_ids, training)
-        for i in range(n_conv):
-            a = self._encoder_layer(a, i, True, training, src_mask)
-        ctx = self._provider_context(src_ids, src_mask)
-        x = ad.linear(
-            ad.concat([a, ctx], axis=-1), self.params["cat_proj.w"], self.params["cat_proj.b"]
-        )
-        x = self._drop(x, training)
-        for i in range(n_conv, cfg.enc_layers):
-            x = self._encoder_layer(x, i, False, training, src_mask)
+            x = self._drop(ad.linear(ctx, p["ctx_proj.w"], p["ctx_proj.b"]), training)
+        else:
+            pe = _sinusoid(src_ids.shape[-1], cfg.d_model)
+            x = self._embedding("src_embed", src_ids, pe, training)
+        for i in range(cfg.enc_layers):
+            if i == join:
+                ctx = self._provider_context(src_ids, src_mask)
+                x = ad.linear(ad.concat([x, ctx], axis=-1), p["cat_proj.w"], p["cat_proj.b"])
+                x = self._drop(x, training)
+            x = self._encoder_layer(x, i, i in conv_at, training, src_mask)
         return x
 
     # ------------------------------------------------------------------
@@ -305,12 +292,10 @@ class Summarizer:
 
     def _target_embedding(self, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
         """Decoder inputs (..., N, d) for target ids (..., N) plus sinusoid rows pe (N or 1, d)."""
-        p = self.params
-        if self.cfg.decoder_conditioned:
-            table = ad.constant(self.provider.token_table[ids])
-            x = ad.linear(table, p["dec_proj.w"], p["dec_proj.b"])
-        else:
-            x = ad.embedding_lookup(p["tgt_embed"], ids) * math.sqrt(self.cfg.d_model)
+        if not self.cfg.decoder_conditioned:
+            return self._embedding("tgt_embed", ids, pe, training)
+        table = ad.constant(self.provider.token_table[ids])
+        x = ad.linear(table, self.params["dec_proj.w"], self.params["dec_proj.b"])
         return self._drop(x + ad.constant(pe), training)
 
     def _decoder_layer(
@@ -326,19 +311,12 @@ class Summarizer:
         """Decoder layer i on x (..., T, d) given its self-attention keys/values
         and the cross-attention keys/values of memory, with the masks of each
         attention; returns (output, cross weights (..., H, T, L))."""
-        p = self.params
         heads = self.cfg.attention.heads
         a, _ = attend(x, *self_kv, self._block(f"dec.{i}.self"), heads, mask)
         x = self._add_norm(x, a, f"dec.{i}.ln1", training)
         c, cross_weights = attend(x, *cross_kv, self._block(f"dec.{i}.cross"), heads, cross_mask)
         x = self._add_norm(x, c, f"dec.{i}.ln2", training)
-        f = ad.linear(
-            ad.relu(ad.linear(x, p[f"dec.{i}.ff.w1"], p[f"dec.{i}.ff.b1"])),
-            p[f"dec.{i}.ff.w2"],
-            p[f"dec.{i}.ff.b2"],
-        )
-        x = self._add_norm(x, f, f"dec.{i}.ln3", training)
-        return x, cross_weights
+        return self._feed_forward(x, f"dec.{i}.ff", f"dec.{i}.ln3", training), cross_weights
 
     def _decoder_states(
         self,
@@ -508,13 +486,13 @@ class Summarizer:
         memory = self.encode(src_ids, training, src_mask)
         tgt_in, tgt_out = tgt_ids[..., :-1], tgt_ids[..., 1:]
         smoothing, pad, V = self.cfg.label_smoothing, self.vocab.pad_id, len(self.vocab)
+        states, _ = self._decoder_states(memory, tgt_in, training, src_mask)
         if self.cfg.copy:
-            probs, _ = self._output_distribution(memory, src_ids, tgt_in, training, src_mask)
+            _, probs, _ = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
             loss = ad.label_smoothed_nll(
                 ad.reshape(probs, (-1, V)), tgt_out.ravel(), smoothing, pad
             )
         else:
-            states, _ = self._decoder_states(memory, tgt_in, training, src_mask)
             logits = ad.linear(states, self.params["gen.w"], self.params["gen.b"])
             loss = ad.label_smoothed_cross_entropy(
                 ad.reshape(logits, (-1, V)), tgt_out.ravel(), smoothing, pad
@@ -526,8 +504,9 @@ class Summarizer:
 
         The batch is padded and runs as one graph. Loss is the token-weighted
         mean over the batch. Returns (loss, lr). Finite checks run once on the
-        loss and the gradients (`autodiff.checked_step`); a failure replays the
-        step to name the op and leaves the parameters and Adam state as they were.
+        loss, and once on the gradients by Adam's pre-pass, which raises before
+        anything moves (`autodiff.checked_step`); a failure replays the step to
+        name the op and leaves the parameters and Adam state as they were.
         """
         src, lengths, tgt = self.pad_batch(batch)
         # The gradient and moment buffers outlive the step: allocated before
@@ -537,22 +516,17 @@ class Summarizer:
         opt_state.bind(self.params)
         rng_state = self.rng.bit_generator.state
 
-        def step() -> Tensor:
+        def step() -> tuple[float, float]:
             loss, _ = self.sequence_loss(src, tgt, True, lengths)
+            ad._check_finite("sequence_loss", loss.data)
             ad.backward(loss)
-            return loss
-
-        def outputs(loss: Tensor) -> list[np.ndarray]:
-            grad = self.params.grad
-            return [loss.data, *(grad[lo:hi] for lo, hi in self.params.gradient_runs()[1])]
+            return loss.item(), adam_noam_step(opt_state, self.params)
 
         def reset() -> None:  # the replay draws the same dropout masks
             self.rng.bit_generator.state = rng_state
             zero_grads(self.params)
 
-        loss = ad.checked_step(step, outputs, reset)
-        lr = adam_noam_step(opt_state, self.params)
-        return loss.item(), lr
+        return ad.checked_step(step, reset=reset)
 
 
 class DecoderState:

@@ -4,6 +4,7 @@ continuation pieces, plus detokenization and frequency-based vocab building."""
 from __future__ import annotations
 
 import collections
+import re
 from typing import Iterable
 
 from .errors import ContractError, DataError
@@ -11,6 +12,7 @@ from .errors import ContractError, DataError
 PAD, UNK, CLS, SEP, BOS, EOS = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "<s>", "</s>"
 RESERVED = (PAD, UNK, CLS, SEP, BOS, EOS)
 CONT = "##"
+_WORD = re.compile(r"[^\W_]+|\S")
 
 
 class Vocab:
@@ -65,29 +67,10 @@ class Vocab:
         return cls(tokens)
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
-
-
 def split_words(text: str) -> list[str]:
-    """Lowercase, split on whitespace, and break punctuation into single tokens."""
-    out: list[str] = []
-    buf: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if buf:
-                out.append("".join(buf))
-                buf = []
-        elif _is_word_char(ch):
-            buf.append(ch)
-        else:
-            if buf:
-                out.append("".join(buf))
-                buf = []
-            out.append(ch)
-    if buf:
-        out.append("".join(buf))
-    return out
+    """Lowercase, then split: a run of alphanumeric (`str.isalnum`) characters
+    is a word, and every other non-space character is a token of its own."""
+    return _WORD.findall(text.lower())
 
 
 def wordpieces(word: str, vocab: Vocab) -> list[str] | None:
@@ -95,17 +78,12 @@ def wordpieces(word: str, vocab: Vocab) -> list[str] | None:
     pieces: list[str] = []
     start = 0
     while start < len(word):
-        end = len(word)
-        piece = None
-        while start < end:
-            sub = word[start:end]
-            if start > 0:
-                sub = CONT + sub
-            if sub in vocab:
-                piece = sub
+        mark = CONT if start else ""
+        for end in range(len(word), start, -1):
+            piece = mark + word[start:end]
+            if piece in vocab:
                 break
-            end -= 1
-        if piece is None:
+        else:
             return None
         pieces.append(piece)
         start = end
@@ -144,17 +122,12 @@ def build_vocab(corpus: Iterable[str], size: int) -> Vocab:
     words and "##" suffix pieces until `size` entries are reached."""
     if size <= len(RESERVED):
         raise ContractError(f"vocab size must exceed the {len(RESERVED)} reserved tokens")
-    word_counts: collections.Counter[str] = collections.Counter()
-    chars: set[str] = set()
-    for text in corpus:
-        for w in split_words(text):
-            word_counts[w] += 1
-            chars.update(w)
+    word_counts = collections.Counter(w for text in corpus for w in split_words(text))
     if not word_counts:
         raise DataError("build_vocab: empty corpus")
 
     tokens = list(RESERVED)
-    for c in sorted(chars):
+    for c in sorted(set().union(*word_counts)):
         tokens.append(c)
         tokens.append(CONT + c)
     if len(tokens) > size:

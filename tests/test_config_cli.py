@@ -443,6 +443,24 @@ class TestCliTrainAndUse:
         assert "error[config]" in err and named in err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", -1),  # numpy generators take no negative seed
+        ("token_kernel", 4),  # AttentionConfig takes only odd kernels
+        ("beam_size", 0),
+    ])
+    def test_invalid_checkpoint_run_config_is_config_error(self, trained, tmp_path, capsys,
+                                                           key, value):
+        ck = tmp_path / "tampered.npz"
+        with np.load(trained[0] / "ckpt" / "ckpt-10.npz") as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["run_config"][key] = value
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez(ck, **arrays)
+        assert cli.main(["summarize", "--checkpoint", str(ck), "--text", "anything"]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and key in err
+
     def test_leadtail_head_beats_tail(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained
         corpus = tmp_path / "lead.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ from convsum.config import RunConfig, build_model
 from convsum.errors import ConfigError, ContractError, NonFiniteError
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.model import ModelConfig, Summarizer, _sinusoid
-from convsum.optim import OptimizerState, zero_grads
+from convsum.optim import OptimizerState, Parameters, zero_grads
 from convsum.providers import StubProvider
 from convsum.tokenizer import RESERVED, Vocab
 
@@ -730,19 +731,20 @@ class TestIncrementalDecode:
             assert np.array_equal(fresh[k], after[k]), k
 
 
-def _gate_model():
-    """The c09 gate model (conv in encoder layer 0) and 8 lead-corpus pairs."""
+def _gate_model(**overrides):
+    """The c09 gate model (conv in encoder layer 0) and 8 lead-corpus pairs;
+    `overrides` are RunConfig fields."""
     from _helpers import make_lead_corpus
     from convsum.data import encode_pairs, iter_texts
     from convsum.tokenizer import build_vocab
 
     docs = make_lead_corpus(40, seed=101)
     vocab = build_vocab(iter_texts(docs), 500)
-    cfg = RunConfig(
+    cfg = RunConfig(**{**dict(
         d_model=64, enc_layers=2, dec_layers=2, ff_size=128, heads=4, token_kernel=13,
         head_kernel=3, conv_layers=(0,), dropout=0.1, label_smoothing=0.1, copy=True,
         batch_size=8, max_source_len=64, seed=7,
-    ).validate()
+    ), **overrides}).validate()
     model, _ = build_model(cfg, vocab)
     return model, encode_pairs(docs, vocab, cfg)[:8]
 
@@ -751,8 +753,9 @@ class TestOpCounts:
     """Pins of the tape size: fewer, fatter ops are the decode and train cost
     at desk scale, so a change that adds ops shows here."""
 
-    def test_tape_nodes_of_a_gate_batch(self):
-        model, batch = _gate_model()
+    @staticmethod
+    def _tape_nodes(model, batch):
+        """(tape nodes, loss) of one training forward pass over the batch."""
         src, lengths, tgt = model.pad_batch(batch)
         loss, _ = model.sequence_loss(src, tgt, True, lengths)
         seen, todo, nodes = set(), [loss], 0
@@ -762,7 +765,21 @@ class TestOpCounts:
                 seen.add(id(node))
                 nodes += node._backward is not None
                 todo.extend(p for p in node._parents if p.requires_grad)
+        return nodes, loss.item()
+
+    def test_tape_nodes_of_a_gate_batch(self):
+        nodes, _ = self._tape_nodes(*_gate_model())
         assert nodes == 79  # 99 with add and dropout ops beside each layer norm
+
+    @pytest.mark.parametrize("overrides,nodes,loss", [
+        ({"integration": "stacking"}, 77, 4.419217669825497),
+        # the conv branch is encoder layer 0 whatever conv_layers says
+        ({"integration": "concatenation", "conv_layers": ()}, 82, 4.1981040276337405),
+    ])
+    def test_tape_nodes_of_a_conditioned_gate_batch(self, overrides, nodes, loss):
+        got_nodes, got_loss = self._tape_nodes(*_gate_model(provider="stub", **overrides))
+        assert got_nodes == nodes
+        assert got_loss == pytest.approx(loss, rel=1e-9)
 
     def test_ops_per_decoder_step(self, monkeypatch):
         from convsum import attention
@@ -791,6 +808,23 @@ class TestOpCounts:
         monkeypatch.setattr(ad, "_finite", lambda arr: (checks.append(arr.shape), finite(arr))[1])
         state.step(batch[0][1][1:5])
         assert len(checks) <= 6
+
+
+class TestParameterLayout:
+    """Parameter names, order and initial values per integration mode: the
+    layout a checkpoint is read against, and the draws training starts from."""
+
+    @pytest.mark.parametrize("overrides,names,theta", [
+        ({}, "3f5849a9cee41bb4", "00ade80199c2264b"),
+        ({"integration": "stacking", "provider": "stub"}, "7132044ea358d3ad", "621ba332ffab7cfa"),
+        ({"integration": "concatenation", "provider": "stub"},
+         "2b14e28fed57fb59", "69ba7d2fb8a279ff"),
+        ({"decoder_conditioned": True, "provider": "stub"}, "8a631325d8dcb4b1", "7f2ef176ea5aaade"),
+    ])
+    def test_names_and_theta_are_pinned(self, overrides, names, theta):
+        model, _ = _gate_model(**overrides)
+        assert hashlib.sha256(",".join(model.params).encode()).hexdigest()[:16] == names
+        assert hashlib.sha256(model.params.theta.tobytes()).hexdigest()[:16] == theta
 
 
 class TestDeferredChecks:
@@ -837,6 +871,16 @@ class TestDeferredChecks:
         with pytest.raises(NonFiniteError, match="backward of 'relu_nan_grad'"):
             model.train_step(batch, opt)
         assert model.params.theta.tobytes() == theta and opt.step == 1
+
+    def test_one_gradient_pass_per_train_step(self, monkeypatch):
+        # Adam's pre-pass is the step's only gradient check
+        model, batch = _gate_model()
+        calls = []
+        runs = Parameters.gradient_runs
+        monkeypatch.setattr(Parameters, "gradient_runs",
+                            lambda self: (calls.append(1), runs(self))[1])
+        model.train_step(batch, OptimizerState(d_model=64, warmup=10))
+        assert len(calls) == 1
 
     def test_inf_in_output_bias_fails_beam_search_naming_op(self):
         model, batch = _gate_model()

@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import make_lead_corpus
+from convsum.data import iter_texts
 from convsum.errors import ContractError, DataError
 from convsum.tokenizer import (
     CONT,
@@ -43,6 +48,53 @@ def _brute_longest_match(word, vocab):
         pieces.append(best[1])
         start = best[0]
     return pieces
+
+
+def _reference_split_words(text):
+    """The word rule as a character loop: whitespace ends a word, a run of
+    `str.isalnum` characters is a word, any other character stands alone."""
+    out, buf = [], []
+    for ch in text.lower():
+        if ch.isspace():
+            if buf:
+                out.append("".join(buf))
+                buf = []
+        elif ch.isalnum():
+            buf.append(ch)
+        else:
+            if buf:
+                out.append("".join(buf))
+                buf = []
+            out.append(ch)
+    if buf:
+        out.append("".join(buf))
+    return out
+
+
+class TestWordRule:
+    def test_every_basic_plane_code_point_matches_the_reference(self):
+        # each code point between letters and between spaces
+        text = "".join(f"a{c}b {c} " for c in map(chr, range(0x10000)))
+        assert split_words(text) == _reference_split_words(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_matches_the_reference(self, text):
+        assert split_words(text) == _reference_split_words(text)
+
+    @pytest.mark.parametrize("size,vocab_digest,ids_digest", [
+        (500, "6ac82ad33d49f0e3", "1f33a7be67a16079"),
+        (120, "a378bcabf78969a7", "659094b0f352b482"),  # most words split into "##" pieces
+    ])
+    def test_vocab_and_ids_of_the_c09_corpus_are_pinned(self, size, vocab_digest, ids_digest):
+        # Vocab ids are fixed by the word rule: a checkpoint's vocab and the
+        # ids of its corpus stay what they were when it was trained.
+        texts = list(iter_texts(make_lead_corpus(500, seed=101)))
+        vocab = build_vocab(texts, size)
+        ids = [tokenize(t, vocab) for t in texts]
+        digest = hashlib.sha256("\n".join(vocab.tokens()).encode()).hexdigest()
+        assert digest[:16] == vocab_digest
+        assert hashlib.sha256(json.dumps(ids).encode()).hexdigest()[:16] == ids_digest
 
 
 class TestVocab:
