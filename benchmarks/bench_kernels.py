@@ -1,28 +1,15 @@
-"""Timings of the package's kernels on training-shaped inputs.
+"""The package's kernels on training-shaped inputs.
 
 Each scenario builder returns `(label, fn, None)`: benchmarks/perf/replay.py
-times `fn` on the same inputs and unpacks three values.
-
-  python3 benchmarks/bench_kernels.py [--repeat N]
+times `fn` on the same inputs and unpacks three values, and a traced
+benchmark run reports the timings as its `kernels.*_ms.*` points.
 """
 
 from __future__ import annotations
 
-import argparse
-import time
-
 import numpy as np
 
 from convsum import kernels
-
-
-def best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def scenario_scatter_rows(rng):
@@ -57,21 +44,3 @@ def scenario_lcs(rng):
         lambda: kernels.lcs_length(a, b),
         None,
     )
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=5, help="best-of repetitions")
-    args = parser.parse_args()
-
-    rng = np.random.default_rng(0)
-    header = f"{'kernel':44s} {'best':>10s}"
-    print(header)
-    print("-" * len(header))
-    for build in (scenario_scatter_rows, scenario_scatter_cols, scenario_lcs):
-        name, fn, _ = build(rng)
-        print(f"{name:44s} {best_of(fn, args.repeat) * 1e3:8.2f}ms")
-
-
-if __name__ == "__main__":
-    main()

@@ -559,45 +559,45 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 # -----------------------------------------------------------------------------
 
 
-def _smoothing_weights(target_ids: np.ndarray, vocab: int, smoothing: float, pad_id: int):
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    if target_ids.ndim != 1:
+def _smoothed_loss(logp: np.ndarray, x: Tensor, target_ids: np.ndarray, smoothing: float,
+                   pad_id: int, grad, op: str) -> Tensor:
+    """Mean smoothed loss over the non-pad positions of x's log-probabilities
+    logp (T, V), against (1-smoothing)*one_hot + smoothing/V uniform. `grad(q)`
+    is the op's gradient w.r.t. x per position for that target q. An all-pad
+    target weighs every position 0, so its loss and gradient are 0."""
+    T, V = logp.shape
+    ids = np.asarray(target_ids, dtype=np.int64)
+    if ids.ndim != 1:
         raise ContractError("loss: target ids must be 1-D")
     if not 0.0 <= smoothing < 1.0:
         raise ContractError(f"loss: smoothing must be in [0, 1), got {smoothing}")
-    if target_ids.size and (target_ids.min() < 0 or target_ids.max() >= vocab):
+    if ids.size and (ids.min() < 0 or ids.max() >= V):
         raise ContractError("loss: target id out of vocab range")
-    w = (target_ids != pad_id).astype(np.float64)
-    return target_ids, w, float(w.sum())
+    if ids.shape != (T,):
+        rows = "logits" if op == "label_smoothed_cross_entropy" else "probability"
+        raise ContractError(f"loss: targets must align with {rows} rows")
+    w = (ids != pad_id).astype(np.float64)
+    count = max(float(w.sum()), 1.0)
+    per_pos = -((1.0 - smoothing) * logp[np.arange(T), ids] + (smoothing / V) * logp.sum(axis=-1))
+    data = np.array((per_pos * w).sum() / count)
+
+    def bwd(out):
+        q = np.full((T, V), smoothing / V)
+        q[np.arange(T), ids] += 1.0 - smoothing
+        _acc(x, grad(q) * (w / count)[:, None] * out.grad, op)
+
+    return _result(data, (x,), bwd, op)
 
 
 def label_smoothed_cross_entropy(
     logits: Tensor, target_ids: np.ndarray, smoothing: float, pad_id: int
 ) -> Tensor:
-    """Mean smoothed CE over non-pad positions; logits (T, V).
-
-    Target distribution is (1-smoothing)*one_hot + smoothing/V uniform.
-    """
-    T, V = logits.data.shape
-    ids, w, count = _smoothing_weights(target_ids, V, smoothing, pad_id)
-    if ids.shape != (T,):
-        raise ContractError("loss: targets must align with logits rows")
-    if count == 0.0:
-        return tensor_sum(scale(logits, 0.0))
+    """Mean smoothed CE over non-pad positions; logits (T, V)."""
     x = logits.data
     row_max = x.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(x - row_max).sum(axis=-1, keepdims=True)) + row_max
-    logp = x - logz
-    per_pos = -((1.0 - smoothing) * logp[np.arange(T), ids] + (smoothing / V) * logp.sum(axis=-1))
-    data = np.array((per_pos * w).sum() / count)
-
-    def bwd(out):
-        p = np.exp(logp)
-        q = np.full_like(p, smoothing / V)
-        q[np.arange(T), ids] += 1.0 - smoothing
-        _acc(logits, (p - q) * (w / count)[:, None] * out.grad, "label_smoothed_cross_entropy")
-
-    return _result(data, (logits,), bwd, "label_smoothed_cross_entropy")
+    logp = x - (np.log(np.exp(x - row_max).sum(axis=-1, keepdims=True)) + row_max)
+    return _smoothed_loss(logp, logits, target_ids, smoothing, pad_id,
+                          lambda q: np.exp(logp) - q, "label_smoothed_cross_entropy")
 
 
 def label_smoothed_nll(
@@ -612,24 +612,10 @@ def label_smoothed_nll(
     Probabilities are clamped at `floor` before the log so a saturated gate
     cannot produce -inf; gradient is zero where the clamp is active.
     """
-    T, V = probs.data.shape
-    ids, w, count = _smoothing_weights(target_ids, V, smoothing, pad_id)
-    if ids.shape != (T,):
-        raise ContractError("loss: targets must align with probability rows")
-    if count == 0.0:
-        return tensor_sum(scale(probs, 0.0))
     p = np.maximum(probs.data, floor)
-    logp = np.log(p)
-    per_pos = -((1.0 - smoothing) * logp[np.arange(T), ids] + (smoothing / V) * logp.sum(axis=-1))
-    data = np.array((per_pos * w).sum() / count)
-
-    def bwd(out):
-        q = np.full((T, V), smoothing / V)
-        q[np.arange(T), ids] += 1.0 - smoothing
-        g = np.where(probs.data > floor, -q / p, 0.0)
-        _acc(probs, g * (w / count)[:, None] * out.grad, "label_smoothed_nll")
-
-    return _result(data, (probs,), bwd, "label_smoothed_nll")
+    return _smoothed_loss(np.log(p), probs, target_ids, smoothing, pad_id,
+                          lambda q: np.where(probs.data > floor, -q / p, 0.0),
+                          "label_smoothed_nll")
 
 
 # -----------------------------------------------------------------------------

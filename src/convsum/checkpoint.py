@@ -17,6 +17,7 @@ from .optim import OptimizerState
 from .tokenizer import Vocab
 
 FORMAT_VERSION = 1
+_META_KEYS = ("run_config", "vocab", "opt_step", "rng_state")
 
 
 @dataclass
@@ -36,13 +37,8 @@ def save_checkpoint(
     """Write the checkpoint atomically: into `path + ".tmp"`, synced to disk,
     then renamed over `path`. A crash leaves either the old file or the new
     one at `path`, never a partial one."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, t in model.params.items():
-        arrays[f"param:{name}"] = t.data
-    for name, arr in opt.m.items():
-        arrays[f"m:{name}"] = arr
-    for name, arr in opt.v.items():
-        arrays[f"v:{name}"] = arr
+    named = {"param": {name: t.data for name, t in model.params.items()}, "m": opt.m, "v": opt.v}
+    arrays = {f"{kind}:{name}": arr for kind, arrs in named.items() for name, arr in arrs.items()}
     meta = {
         "version": FORMAT_VERSION,
         "run_config": run_config.to_dict(),
@@ -72,25 +68,30 @@ def load_checkpoint(path: str) -> Checkpoint:
     with data:
         if "__meta__" not in data:
             raise DataError(f"not a checkpoint file: {path}")
-        meta = json.loads(str(data["__meta__"]))
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise DataError(f"checkpoint {path}: meta record is not a JSON object")
         if meta.get("version") != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported checkpoint version {meta.get('version')} in {path}"
             )
-        params, m, v = {}, {}, {}
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise DataError(f"checkpoint {path}: meta record has no {missing}")
+        named = {"param": {}, "m": {}, "v": {}}
         for key in data.files:
-            if key.startswith("param:"):
-                params[key[6:]] = data[key]
-            elif key.startswith("m:"):
-                m[key[2:]] = data[key]
-            elif key.startswith("v:"):
-                v[key[2:]] = data[key]
+            kind, _, name = key.partition(":")
+            if kind in named:
+                named[kind][name] = data[key]
     return Checkpoint(
         run_config=RunConfig.from_dict(meta["run_config"]).validate(),
         vocab_tokens=list(meta["vocab"]),
-        params=params,
-        m=m,
-        v=v,
+        params=named["param"],
+        m=named["m"],
+        v=named["v"],
         opt_step=int(meta["opt_step"]),
         rng_state=meta["rng_state"],
     )

@@ -56,7 +56,7 @@ class RunConfig:
     decoder_conditioned: bool = ModelConfig.decoder_conditioned
     # embedding provider
     provider: str = "none"
-    provider_width: int = ModelConfig.provider_width
+    provider_width: int = 64  # the stub's width; a model reads it from its provider
     provider_window: int = 512
     provider_seed: int = 0
     window: int = WindowingConfig.window
@@ -130,9 +130,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """A config from decoded values (a checkpoint's JSON meta, or parsed
+        flags); each value must have its key's SCHEMA kind."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            if not _has_kind(value, SCHEMA[key]):
+                raise ConfigError(f"config key '{key}': {value!r} is not of kind {SCHEMA[key]}")
         return cls(**d)
 
 
@@ -142,6 +147,15 @@ _KINDS = {int: "int", float: "float", bool: "bool", str: "str", tuple: "ints"}
 SCHEMA: dict[str, str] = {
     name: _KINDS[kind] for name, kind in get_type_hints(RunConfig).items()
 }
+
+
+def _has_kind(value, kind: str) -> bool:
+    """Whether a decoded value has a schema kind: an int is not a bool, a
+    float may be an int, and "ints" is a list or tuple of ints."""
+    if kind == "ints":
+        return type(value) in (list, tuple) and all(type(x) is int for x in value)
+    return type(value) in {"int": (int,), "float": (int, float), "bool": (bool,),
+                           "str": (str,)}[kind]
 
 
 def parse_value(key: str, raw: str, kind: str):

@@ -3,7 +3,7 @@ coverage penalty applied at final scoring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,13 @@ class DecodingConfig:
 
 @dataclass
 class Hypothesis:
-    """Partial sequence (BOS excluded, EOS stripped) with accumulated score."""
+    """Partial sequence (BOS excluded, EOS stripped) with accumulated score,
+    and the step its search ended at: max_length while it is live."""
 
     tokens: list[int]
     log_prob: float
-    finished: bool
     coverage: np.ndarray
-    finish_step: int = field(default=-1)
+    finish_step: int
 
 
 def coverage_penalty(coverage: np.ndarray, beta: float) -> float:
@@ -48,10 +48,6 @@ def coverage_penalty(coverage: np.ndarray, beta: float) -> float:
     if beta == 0.0:
         return 0.0
     return float(beta * np.log(np.minimum(np.maximum(coverage, COVERAGE_FLOOR), 1.0)).sum())
-
-
-def _final_score(h: Hypothesis, beta: float) -> float:
-    return h.log_prob + coverage_penalty(h.coverage, beta)
 
 
 class _FullPrefixDecoder:
@@ -111,7 +107,7 @@ def beam_search(model, src_ids, cfg: DecodingConfig) -> list[int]:
 
 
 def _search(state, bos: int, eos: int, src_len: int, cfg: DecodingConfig) -> list[int]:
-    live = [Hypothesis([], 0.0, False, np.zeros(src_len))]
+    live = [Hypothesis([], 0.0, np.zeros(src_len), cfg.max_length)]
     finished: list[Hypothesis] = []
     last = [bos]
 
@@ -134,9 +130,9 @@ def _search(state, bos: int, eos: int, src_len: int, cfg: DecodingConfig) -> lis
             hyp = live[row]
             coverage = hyp.coverage + attn[row]
             if tok == eos:
-                finished.append(Hypothesis(list(hyp.tokens), score, True, coverage, step))
+                finished.append(Hypothesis(list(hyp.tokens), score, coverage, step))
             else:
-                next_live.append(Hypothesis(hyp.tokens + [tok], score, False, coverage))
+                next_live.append(Hypothesis(hyp.tokens + [tok], score, coverage, cfg.max_length))
                 survivors.append(row)
         live = next_live
         if len(finished) >= cfg.beam_size or not live:
@@ -144,8 +140,7 @@ def _search(state, bos: int, eos: int, src_len: int, cfg: DecodingConfig) -> lis
         state.reorder(survivors)
         last = [h.tokens[-1] for h in live]
 
-    pool = finished + [
-        Hypothesis(h.tokens, h.log_prob, False, h.coverage, cfg.max_length) for h in live
-    ]
-    pool.sort(key=lambda h: (-_final_score(h, cfg.coverage_beta), h.finish_step, h.tokens))
+    pool = finished + live
+    pool.sort(key=lambda h: (-(h.log_prob + coverage_penalty(h.coverage, cfg.coverage_beta)),
+                             h.finish_step, h.tokens))
     return list(pool[0].tokens)

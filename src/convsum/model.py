@@ -39,7 +39,6 @@ class ModelConfig:
     label_smoothing: float = 0.1
     integration: str = "none"
     copy: bool = True
-    provider_width: int = 64
     decoder_conditioned: bool = False
 
     def __post_init__(self):
@@ -130,10 +129,6 @@ class Summarizer:
     ):
         if (cfg.integration != "none" or cfg.decoder_conditioned) and provider is None:
             raise ConfigError(f"integration '{cfg.integration}' requires an embedding provider")
-        if provider is not None and provider.width != cfg.provider_width:
-            raise ConfigError(
-                f"provider width {provider.width} != configured width {cfg.provider_width}"
-            )
         self.cfg = cfg
         self.vocab = vocab
         self.provider = provider
@@ -171,9 +166,9 @@ class Summarizer:
         if cfg.integration in ("none", "concatenation"):
             p["src_embed"] = _embedding_init(V, d)
         if cfg.integration == "stacking":
-            p["ctx_proj.w"], p["ctx_proj.b"] = _linear_init(cfg.provider_width, d)
+            p["ctx_proj.w"], p["ctx_proj.b"] = _linear_init(self.provider.width, d)
         if cfg.integration == "concatenation":
-            p["cat_proj.w"], p["cat_proj.b"] = _linear_init(d + cfg.provider_width, d)
+            p["cat_proj.w"], p["cat_proj.b"] = _linear_init(d + self.provider.width, d)
         for i in range(cfg.enc_layers):
             put_attention(f"enc.{i}.att")
             put_norm(f"enc.{i}.ln1")
@@ -181,7 +176,7 @@ class Summarizer:
             put_norm(f"enc.{i}.ln2")
 
         if cfg.decoder_conditioned:
-            p["dec_proj.w"], p["dec_proj.b"] = _linear_init(cfg.provider_width, d)
+            p["dec_proj.w"], p["dec_proj.b"] = _linear_init(self.provider.width, d)
         else:
             p["tgt_embed"] = _embedding_init(V, d)
         for i in range(cfg.dec_layers):
@@ -405,19 +400,6 @@ class Summarizer:
         mean_cross = cross.data.sum(axis=-3) * (1.0 / self.cfg.attention.heads)  # a constant
         return probs, ad.constant(mean_cross.reshape(*states.shape[:-1], memory.shape[-2]))
 
-    def _output_distribution(
-        self,
-        memory: Tensor,
-        src_ids: np.ndarray,
-        prefix_ids: np.ndarray,
-        training: bool,
-        src_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Full-prefix distributions (..., T, V) plus per-position source
-        attention (..., T, L)."""
-        states, cross = self._decoder_states(memory, prefix_ids, training, src_mask)
-        return self._output_head(states, cross, memory, src_ids, src_mask)
-
     def decode_step(
         self, memory: Tensor, src_ids, prefix_ids, training: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -427,10 +409,8 @@ class Summarizer:
         Returns (probabilities (V,), source attention (L,)); the attention row
         feeds the decoder's coverage accounting.
         """
-        prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-        probs, attn = self._output_distribution(
-            memory, np.asarray(src_ids, dtype=np.int64), prefix_ids, training
-        )
+        states, cross = self._decoder_states(memory, prefix_ids, training)
+        probs, attn = self._output_head(states, cross, memory, src_ids)
         return probs.data[-1].copy(), attn.data[-1].copy()
 
     def start_decode(self, memory: Tensor, src_ids) -> "DecoderState":
@@ -487,16 +467,13 @@ class Summarizer:
         tgt_in, tgt_out = tgt_ids[..., :-1], tgt_ids[..., 1:]
         smoothing, pad, V = self.cfg.label_smoothing, self.vocab.pad_id, len(self.vocab)
         states, _ = self._decoder_states(memory, tgt_in, training, src_mask)
-        if self.cfg.copy:
-            _, probs, _ = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
-            loss = ad.label_smoothed_nll(
-                ad.reshape(probs, (-1, V)), tgt_out.ravel(), smoothing, pad
-            )
+        if self.cfg.copy:  # the copy mixture is a distribution; the generator gives logits
+            _, out, _ = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
+            loss_fn = ad.label_smoothed_nll
         else:
-            logits = ad.linear(states, self.params["gen.w"], self.params["gen.b"])
-            loss = ad.label_smoothed_cross_entropy(
-                ad.reshape(logits, (-1, V)), tgt_out.ravel(), smoothing, pad
-            )
+            out = ad.linear(states, self.params["gen.w"], self.params["gen.b"])
+            loss_fn = ad.label_smoothed_cross_entropy
+        loss = loss_fn(ad.reshape(out, (-1, V)), tgt_out.ravel(), smoothing, pad)
         return loss, int((tgt_out != pad).sum())
 
     def train_step(self, batch, opt_state) -> tuple[float, float]:

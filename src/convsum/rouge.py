@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import collections
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -64,23 +64,15 @@ def mean_scores(per_doc: list[dict[str, RougeScore]]) -> dict[str, RougeScore]:
         raise ContractError("mean_scores: empty document list")
     out = {}
     for key in per_doc[0]:
-        out[key] = RougeScore(
-            float(np.mean([d[key].precision for d in per_doc])),
-            float(np.mean([d[key].recall for d in per_doc])),
-            float(np.mean([d[key].f1 for d in per_doc])),
-        )
+        columns = zip(*(astuple(d[key]) for d in per_doc))  # precision, recall, f1
+        out[key] = RougeScore(*(float(np.mean(c)) for c in columns))
     return out
 
 
 def format_report(scores: dict[str, RougeScore]) -> str:
     """Key-value lines, 4 decimal places: rouge1_p=..., rouge1_r=..., ..."""
-    lines = []
-    for key in sorted(scores):
-        s = scores[key]
-        lines.append(f"{key}_p={s.precision:.4f}")
-        lines.append(f"{key}_r={s.recall:.4f}")
-        lines.append(f"{key}_f1={s.f1:.4f}")
-    return "\n".join(lines)
+    return "\n".join(f"{key}_{tag}={value:.4f}" for key in sorted(scores)
+                     for tag, value in zip(("p", "r", "f1"), astuple(scores[key])))
 
 
 _SENT_BOUNDARY = re.compile(r"(?<=[.!?])\s+")

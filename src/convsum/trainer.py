@@ -16,7 +16,7 @@ from .decoding import DecodingConfig, beam_search
 from .errors import ConfigError, DataError
 from .model import Summarizer
 from .rouge import RougeScore, mean_scores, rouge_all
-from .tokenizer import Vocab
+from .tokenizer import Vocab, detokenize
 
 LOCK_NAME = "LOCK"
 LOG_NAME = "loss.tsv"
@@ -205,16 +205,11 @@ def evaluate_model(
     test_pairs holds (source ids, reference token strings). With words=True
     both sides are detokenized to whitespace words before scoring.
     """
-    from .tokenizer import detokenize
-
+    vocab = model.vocab
     per_doc = []
-    for src_ids, ref_tokens in test_pairs:
-        cand_ids = beam_search(model, src_ids, dec_cfg)
-        cand_tokens = [model.vocab.token(i) for i in cand_ids]
+    for src_ids, ref in test_pairs:
+        cand = [vocab.token(i) for i in beam_search(model, src_ids, dec_cfg)]
         if words:
-            cand = detokenize(cand_ids, model.vocab).split()
-            ref = detokenize([model.vocab.id(t) for t in ref_tokens], model.vocab).split()
-            per_doc.append(rouge_all(cand, ref))
-        else:
-            per_doc.append(rouge_all(cand_tokens, ref_tokens))
+            cand, ref = (detokenize(map(vocab.id, side), vocab).split() for side in (cand, ref))
+        per_doc.append(rouge_all(cand, ref))
     return mean_scores(per_doc)

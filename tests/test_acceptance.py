@@ -124,7 +124,7 @@ def test_c04_gradient_checks():
     att = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=())
     m = Summarizer(
         ModelConfig(d_model=8, enc_layers=1, dec_layers=1, ff_size=16, attention=att,
-                    dropout=0.0, label_smoothing=0.0, copy=True, provider_width=8),
+                    dropout=0.0, label_smoothing=0.0, copy=True),
         vocab, seed=1,
     )
     states = ad.parameter(rng.normal(size=(2, 8)))
@@ -181,7 +181,7 @@ def test_c05_pointer_generator_mixture():
     att = AttentionConfig(heads=2, token_kernel=3, head_kernel=1, conv_layers=())
     m = Summarizer(
         ModelConfig(d_model=8, enc_layers=1, dec_layers=1, ff_size=16, attention=att,
-                    dropout=0.0, label_smoothing=0.0, copy=True, provider_width=8),
+                    dropout=0.0, label_smoothing=0.0, copy=True),
         vocab, seed=2,
     )
     V = len(vocab)

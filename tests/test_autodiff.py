@@ -201,6 +201,87 @@ class TestLosses:
         assert abs(a.item() - b.item()) < 1e-9
 
 
+def _reference_cross_entropy(logits, ids, s, pad_id, up):
+    """label_smoothed_cross_entropy's body before the two losses shared one
+    core: (loss, gradient w.r.t. logits under upstream gradient `up`), for a
+    target with at least one non-pad position."""
+    T, V = logits.shape
+    w = (ids != pad_id).astype(np.float64)
+    count = float(w.sum())
+    row_max = logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(logits - row_max).sum(axis=-1, keepdims=True)) + row_max
+    logp = logits - logz
+    per_pos = -((1.0 - s) * logp[np.arange(T), ids] + (s / V) * logp.sum(axis=-1))
+    p = np.exp(logp)
+    q = np.full_like(p, s / V)
+    q[np.arange(T), ids] += 1.0 - s
+    return (per_pos * w).sum() / count, (p - q) * (w / count)[:, None] * up
+
+
+def _reference_nll(probs, ids, s, pad_id, up, floor=1e-10):
+    """label_smoothed_nll's body before the shared core, as above."""
+    T, V = probs.shape
+    w = (ids != pad_id).astype(np.float64)
+    count = float(w.sum())
+    p = np.maximum(probs, floor)
+    logp = np.log(p)
+    per_pos = -((1.0 - s) * logp[np.arange(T), ids] + (s / V) * logp.sum(axis=-1))
+    q = np.full((T, V), s / V)
+    q[np.arange(T), ids] += 1.0 - s
+    g = np.where(probs > floor, -q / p, 0.0)
+    return (per_pos * w).sum() / count, g * (w / count)[:, None] * up
+
+
+class TestLossCoreOracle:
+    """Both losses through their shared core equal their former bodies bit for bit."""
+
+    PAD = 0
+
+    def _inputs(self, rng, T=9, V=13):
+        ids = rng.integers(1, V, size=T)
+        ids[rng.random(T) < 0.4] = self.PAD
+        ids[rng.integers(T)] = 1 + rng.integers(V - 1)  # at least one real target
+        return rng.normal(scale=3.0, size=(T, V)), ids, float(rng.uniform(0.5, 2.0))
+
+    def _run(self, loss_fn, x, ids, s, up):
+        leaf = ad.parameter(x)
+        loss = loss_fn(leaf, ids, s, pad_id=self.PAD)
+        ad.backward(ad.scale(loss, up))  # the loss's upstream gradient is `up`
+        return loss.data, leaf.grad
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_cross_entropy_matches_its_former_body(self, rng, smoothing):
+        for _ in range(8):
+            x, ids, up = self._inputs(rng)
+            value, grad = self._run(ad.label_smoothed_cross_entropy, x, ids, smoothing, up)
+            want_value, want_grad = _reference_cross_entropy(x, ids, smoothing, self.PAD, up)
+            assert value.tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_nll_matches_its_former_body_with_probabilities_below_the_floor(self, rng,
+                                                                          smoothing):
+        for _ in range(8):
+            x, ids, up = self._inputs(rng)
+            probs = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
+            probs[rng.random(probs.shape) < 0.15] = 1e-12
+            probs[0, 0] = 0.0
+            value, grad = self._run(ad.label_smoothed_nll, probs, ids, smoothing, up)
+            want_value, want_grad = _reference_nll(probs, ids, smoothing, self.PAD, up)
+            assert (probs < 1e-10).sum() > 1 and (want_grad == 0.0).any()
+            assert value.tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("loss_fn", [ad.label_smoothed_cross_entropy, ad.label_smoothed_nll])
+    def test_all_pad_target_is_one_node_with_zero_loss_and_gradient(self, rng, loss_fn):
+        x = ad.parameter(rng.dirichlet(np.ones(6), size=4))
+        loss = loss_fn(x, np.full(4, self.PAD), 0.1, pad_id=self.PAD)
+        assert len(loss._parents) == 1 and loss._parents[0] is x  # one node above the leaf
+        ad.backward(loss)
+        assert loss.item() == 0.0
+        assert x.grad.shape == (4, 6) and np.all(x.grad == 0.0)
+
+
 class TestGradients:
     """Central-difference checks for each op (perturbation 1e-5, 64-bit)."""
 

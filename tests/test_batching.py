@@ -31,7 +31,7 @@ def _model(integration="none", copy=True, conv_layers=(0,), circular=False, toke
                           conv_layers=conv_layers)
     cfg = ModelConfig(d_model=d, enc_layers=2, dec_layers=2, ff_size=16, attention=att,
                       dropout=dropout, label_smoothing=0.1, integration=integration, copy=copy,
-                      provider_width=6, decoder_conditioned=decoder_conditioned)
+                      decoder_conditioned=decoder_conditioned)
     # a 4-token provider window, so longer sources take the strided path
     prov = StubProvider(len(VOCAB), width=6, max_window=4, seed=2)
     return Summarizer(cfg, VOCAB, provider=prov, windowing=WindowingConfig(4, 2), seed=5)

@@ -73,6 +73,20 @@ class TestConfigFile:
         cfg = RunConfig(d_model=64, conv_layers=(0, 2))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "abc"), ("seed", True), ("seed", 1.0), ("copy", "yes"), ("copy", 1),
+        ("steps", True), ("dropout", "0.1"), ("dropout", False), ("vocab", 3),
+        ("conv_layers", 0), ("conv_layers", [0, "1"]), ("conv_layers", [True]),
+    ])
+    def test_from_dict_rejects_a_value_of_the_wrong_kind(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            RunConfig.from_dict({key: value})
+
+    def test_from_dict_takes_an_int_float_and_a_json_int_list(self):
+        cfg = RunConfig.from_dict({"dropout": 0, "conv_layers": [0, 1], "copy": False})
+        assert cfg.dropout == 0.0 and cfg.conv_layers == (0, 1) and cfg.copy is False
+        cfg.validate()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
@@ -88,7 +102,7 @@ class TestOneDeclarationPerSetting:
     def test_shared_defaults_are_the_owners(self):
         run_defaults = {f.name: f.default for f in fields(RunConfig)}
         with_default = [(run, cls, f) for run, cls, f in self._shared() if f.default is not MISSING]
-        assert len(with_default) == 25
+        assert len(with_default) == 24
         assert ("adam_eps", OptimizerState, "eps") in [(r, c, f.name) for r, c, f in with_default]
         for run, cls, f in with_default:
             assert run_defaults[run] == f.default, f"{run} vs {cls.__name__}.{f.name}"
@@ -443,23 +457,48 @@ class TestCliTrainAndUse:
         assert "error[config]" in err and named in err
         assert not (tmp_path / "ckpt").exists()
 
+    @staticmethod
+    def _tampered(trained, tmp_path, edit) -> str:
+        """A copy of the trained run's checkpoint whose meta text is edit(meta text)."""
+        ck = tmp_path / "tampered.npz"
+        with np.load(trained[0] / "ckpt" / "ckpt-10.npz") as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        arrays["__meta__"] = np.array(edit(str(arrays["__meta__"])))
+        np.savez(ck, **arrays)
+        return str(ck)
+
     @pytest.mark.parametrize("key,value", [
         ("seed", -1),  # numpy generators take no negative seed
         ("token_kernel", 4),  # AttentionConfig takes only odd kernels
         ("beam_size", 0),
+        ("seed", "abc"),  # values of the wrong type: each key has its schema kind
+        ("copy", "yes"),
+        ("steps", True),
     ])
     def test_invalid_checkpoint_run_config_is_config_error(self, trained, tmp_path, capsys,
                                                            key, value):
-        ck = tmp_path / "tampered.npz"
-        with np.load(trained[0] / "ckpt" / "ckpt-10.npz") as saved:
-            arrays = {name: saved[name] for name in saved.files}
-        meta = json.loads(str(arrays["__meta__"]))
-        meta["run_config"][key] = value
-        arrays["__meta__"] = np.array(json.dumps(meta))
-        np.savez(ck, **arrays)
-        assert cli.main(["summarize", "--checkpoint", str(ck), "--text", "anything"]) == 2
+        def edit(text):
+            meta = json.loads(text)
+            meta["run_config"][key] = value
+            return json.dumps(meta)
+
+        ck = self._tampered(trained, tmp_path, edit)
+        assert cli.main(["summarize", "--checkpoint", ck, "--text", "anything"]) == 2
         err = capsys.readouterr().err
         assert "error[config]" in err and key in err
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda text: text[:-1], "not a JSON object"),  # cut short: not JSON
+        (lambda text: json.dumps([json.loads(text)]), "not a JSON object"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "vocab"}),
+         "'vocab'"),
+    ], ids=["cut-short", "a-list", "no-vocab"])
+    def test_malformed_checkpoint_meta_is_data_error(self, trained, tmp_path, capsys,
+                                                     edit, named):
+        ck = self._tampered(trained, tmp_path, edit)
+        assert cli.main(["summarize", "--checkpoint", ck, "--text", "anything"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and named in err
 
     def test_leadtail_head_beats_tail(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained

@@ -173,8 +173,8 @@ class TestBeamSearch:
     def test_coverage_beta_changes_final_ranking(self):
         # two finished hypotheses with close log-probs: a large beta prefers
         # the better-covered one, verified through the public score pieces
-        h_full = Hypothesis([2, 3], -1.00, True, np.array([1.0, 1.0]), 1)
-        h_thin = Hypothesis([3, 2], -0.99, True, np.array([0.2, 0.1]), 1)
+        h_full = Hypothesis([2, 3], -1.00, np.array([1.0, 1.0]), 1)
+        h_thin = Hypothesis([3, 2], -0.99, np.array([0.2, 0.1]), 1)
         beta = 1.0
         s_full = h_full.log_prob + coverage_penalty(h_full.coverage, beta)
         s_thin = h_thin.log_prob + coverage_penalty(h_thin.coverage, beta)

@@ -104,20 +104,3 @@ def test_lcs_known_cases():
     assert kernels.lcs_length(np.array([1, 2]), np.array([3, 4])) == 0
     assert kernels.lcs_length(np.array([], dtype=np.int64), np.array([1])) == 0
     assert kernels.lcs_length(["the", "cat", "sat"], ["a", "cat", "sat", "down"]) == 2
-
-
-def test_bench_kernels_main_times_each_kernel(monkeypatch, capsys):
-    import importlib.util
-    import pathlib
-    import sys
-
-    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    monkeypatch.setattr(sys, "argv", ["bench_kernels.py", "--repeat", "1"])
-    bench.main()
-    lines = capsys.readouterr().out.splitlines()
-    for name in ("scatter_add_rows", "scatter_add_cols", "lcs_length"):
-        (line,) = [l for l in lines if l.startswith(name)]
-        assert float(line.split()[-1].removesuffix("ms")) > 0.0

@@ -36,7 +36,6 @@ def tiny_cfg(**kw):
         label_smoothing=0.0,
         integration="none",
         copy=False,
-        provider_width=8,
     )
     base.update(kw)
     return ModelConfig(**base)
@@ -197,12 +196,24 @@ class TestEncode:
     def test_concatenation_output_shape_for_any_provider_width(self, vocab):
         from convsum.windowing import WindowingConfig
 
+        # no width is configured: each projection is sized by the provider's
+        modes = (  # (config overrides, projection, its input rows at width w, d)
+            ({"integration": "stacking"}, "ctx_proj.w", lambda w, d: w),
+            ({"integration": "concatenation", "enc_layers": 2}, "cat_proj.w", lambda w, d: d + w),
+            ({"decoder_conditioned": True}, "dec_proj.w", lambda w, d: w),
+        )
+        src = [vocab.cls_id, 6, 7, 8]
         for width in (3, 8, 20):
             prov = StubProvider(len(vocab), width=width, max_window=16, seed=1)
-            cfg = tiny_cfg(integration="concatenation", enc_layers=2, provider_width=width)
-            m = Summarizer(cfg, vocab, provider=prov, windowing=WindowingConfig(16, 8))
-            out = m.encode([vocab.cls_id, 6, 7, 8])
-            assert out.shape == (4, cfg.d_model)
+            for overrides, proj, rows in modes:
+                cfg = tiny_cfg(**overrides)
+                m = Summarizer(cfg, vocab, provider=prov, windowing=WindowingConfig(16, 8))
+                d = cfg.d_model
+                assert m.params[proj].shape == (rows(width, d), d), (overrides, width)
+                out = m.encode(src)
+                assert out.shape == (4, d)
+                probs, _ = m.decode_step(out, src, [vocab.bos_id, 9])
+                assert probs.shape == (len(vocab),)
 
     def test_conv_reduction_reproduces_plain_baseline(self, vocab, rng):
         L = 5
@@ -238,9 +249,13 @@ class TestDecode:
         m = Summarizer(tiny_cfg(copy=True), vocab, seed=2)
         src = np.array([vocab.cls_id, 6, 7])
         memory = m.encode(src)
-        p1, _ = m._output_distribution(memory, src, np.array([vocab.bos_id]), False)
-        p2, _ = m._output_distribution(memory, src, np.array([vocab.bos_id, 9]), False)
-        assert np.allclose(p1.data[0], p2.data[0], rtol=0, atol=1e-12)
+
+        def probs(prefix):
+            states, cross = m._decoder_states(memory, np.array(prefix), False)
+            return m._output_head(states, cross, memory, src)[0].data
+
+        p1, p2 = probs([vocab.bos_id]), probs([vocab.bos_id, 9])
+        assert np.allclose(p1[0], p2[0], rtol=0, atol=1e-12)
 
     def test_matches_nested_loop_reference_decoder(self, vocab):
         cfg = tiny_cfg()
