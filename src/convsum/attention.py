@@ -20,11 +20,19 @@ Full attention is three tape ops: the query projection, one fused
 `attention` op (head split as a view, scores, scale, masked softmax, context,
 head merge, with a hand-written backward) and the output projection. Keys and
 values stay (..., Lk, d), so decoding caches them as (B, t, d). A beam step
-of the d=64 gate model runs 49 tape ops, where an eight-op attention, a
-two-op `linear` (matmul, bias add) and a residual add beside each layer norm
-made 115. The fused op, the banded op and `autodiff.softmax` share one
-masked-softmax forward and backward (`autodiff._softmax_fwd`/`_softmax_bwd`);
-masks reach it as an additive 0/-inf score bias.
+of the d=64 gate model runs 45 tape ops, where an eight-op attention, a
+two-op `linear` (matmul, bias add), a residual add beside each layer norm
+and a three-op feed-forward made 115. The fused op, the banded op and
+`autodiff.softmax` share one masked-softmax forward and backward
+(`autodiff._softmax_fwd`/`_softmax_bwd`); masks reach it as an additive
+0/-inf score bias.
+
+What backward reads is saved only where it is O(L) per head. The fused op
+saves no weights and recomputes them in backward; the banded op saves its
+(H, L, k_head*w) weights but gathers the head-union windows of k and v
+again. The weights either op returns are read-only: they are a constant of
+the graph (no gradient flows through them), and the banded op's backward
+reads the very array returned.
 
 Every function takes leading batch axes. A padded batch passes a mask:
 `attend` and `multi_head_attention` a boolean mask broadcastable to
@@ -136,19 +144,29 @@ def _attention(
     run inside the op, with the numpy calls of the composed ops, so the
     values are bitwise theirs. bias is an additive 0/-inf score term
     broadcastable to (..., H, Lq, Lk). Returns (context (..., Lq, d), weights
-    (..., H, Lq, Lk)); the weights carry no gradient of their own, and the
-    backward reads them, so they are read-only.
+    (..., H, Lq, Lk)), the weights a read-only constant with no gradient of
+    their own.
+
+    The op saves no weights: its backward recomputes them from the head
+    views and the bias with the same calls, so they are bitwise the
+    forward's, and an (H, Lq, Lk) array lives only while a caller holds
+    the returned weights or the backward runs.
     """
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
     c = qh.shape[-1] ** -0.5
-    s = np.matmul(qh, kh.swapaxes(-1, -2))
-    s *= c
-    weights = _softmax_fwd(s, bias)
+
+    def softmax_weights() -> np.ndarray:
+        s = np.matmul(qh, kh.swapaxes(-1, -2))
+        s *= c
+        return _softmax_fwd(s, bias)
+
+    weights = softmax_weights()
     weights.flags.writeable = False
     data = _merged(np.matmul(weights, vh))
 
     def bwd(out):
         gh = _heads(out.grad, heads)
+        weights = softmax_weights()
         gs = _softmax_bwd(weights, np.matmul(gh, vh.swapaxes(-1, -2)))
         gs *= c
         if q.requires_grad:
@@ -290,7 +308,9 @@ def _band_attention(
     context cost O(B*H*L*k_head*w*dk). An optional key-padding mask (..., L)
     adds each example's own key validity to the cached bias, so a short
     example's window clips at its own length. The weights carry no gradient
-    of their own; the backward reads them, so they are read-only.
+    of their own; the backward reads them, so they are read-only. The
+    backward gathers the union windows again rather than keeping them: they
+    are k_head * (L + w - 1) / L times the size of k and v.
     """
     *lead, L, d = q.shape
     B = math.prod(lead)
@@ -319,12 +339,13 @@ def _band_attention(
 
     def bwd(out):
         g4 = out.grad.reshape(B, L, H, dk)
-        gw = np.matmul(g4[:, :, :, None, None, :], vw).reshape(B, L, H, kk * w)
-        gs = _softmax_bwd(weights, gw)
+        gw = np.matmul(g4[:, :, :, None, None, :], union_windows(v.data))
+        gs = _softmax_bwd(weights, gw.reshape(B, L, H, kk * w))
         gs *= c
         gs = gs.reshape(B, L, H, kk, w)
         if q.requires_grad:
-            _acc(q, np.matmul(kw, gs[..., None]).sum(axis=3).reshape(q.shape), "band_attention")
+            gq = np.matmul(union_windows(k.data), gs[..., None]).sum(axis=3)
+            _acc(q, gq.reshape(q.shape), "band_attention")
         if k.requires_grad:
             _acc(k, _unwindow(gs, q4, scatter, half).reshape(k.shape), "band_attention")
         if v.requires_grad:

@@ -426,8 +426,13 @@ def _softmax_fwd(s: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
 
 
 def _softmax_bwd(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of the scores of softmax weights w, given the weights' gradient g."""
-    return w * (g - (g * w).sum(axis=-1, keepdims=True))
+    """Gradient of the scores of softmax weights w, given the weights' gradient
+    g, which it overwrites and returns: w * (g - (g * w).sum(-1)) with no
+    full-size temporary past the sum, bitwise that expression (products commute)."""
+    dot = np.add.reduce(g * w, axis=-1, keepdims=True)
+    g -= dot
+    g *= w
+    return g
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -526,6 +531,48 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(data, parents, bwd, "linear")
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(relu(linear(x, w1, b1)), w2, b2) as one op.
+
+    The ReLU runs in place on the first GEMM's output h, and the op saves
+    only x and h: h > 0 exactly where the pre-activation is, so values and
+    gradients are bitwise those of the three ops. Like `linear`, the
+    backward skips the GEMMs of inputs that want no gradient.
+    """
+    din, dff = w1.data.shape if w1.data.ndim == 2 else (None, None)
+    if (x.data.shape[-1:] != (din,) or b1.data.shape != (dff,)
+            or w2.data.ndim != 2 or w2.data.shape[0] != dff or b2.data.shape != w2.data.shape[1:]):
+        raise ContractError(f"feed_forward: incompatible shapes {x.shape}, {w1.shape}, "
+                            f"{b1.shape}, {w2.shape}, {b2.shape}")
+    dout = w2.data.shape[1]
+    h = np.matmul(x.data, w1.data)
+    h += b1.data
+    if _mode.per_op:  # the ReLU would hide a -inf pre-activation
+        _check_finite("feed_forward", h)
+    np.maximum(h, 0.0, out=h)
+    data = np.matmul(h, w2.data)
+    data += b2.data
+
+    def bwd(out):
+        g = out.grad
+        if w2.requires_grad:
+            _acc(w2, np.matmul(h.reshape(-1, dff).T, g.reshape(-1, dout)), "feed_forward")
+        if b2.requires_grad:
+            _acc(b2, g.reshape(-1, dout).sum(axis=0), "feed_forward")
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gh = np.matmul(g, w2.data.T)
+        gh *= h > 0.0
+        if x.requires_grad:
+            _acc(x, np.matmul(gh, w1.data.T), "feed_forward")
+        if w1.requires_grad:
+            _acc(w1, np.matmul(x.data.reshape(-1, din).T, gh.reshape(-1, dff)), "feed_forward")
+        if b1.requires_grad:
+            _acc(b1, gh.reshape(-1, dff).sum(axis=0), "feed_forward")
+
+    return _result(data, (x, w1, b1, w2, b2), bwd, "feed_forward")
 
 
 def dropout_mask(rate: float, rng: np.random.Generator | None, shape: tuple[int, ...],

@@ -17,7 +17,24 @@ from .optim import OptimizerState
 from .tokenizer import Vocab
 
 FORMAT_VERSION = 1
-_META_KEYS = ("run_config", "vocab", "opt_step", "rng_state")
+
+
+def _is_generator_state(state) -> bool:
+    """Whether a model's generator (`default_rng`'s) accepts `state`."""
+    try:
+        np.random.default_rng().bit_generator.state = state
+    except (TypeError, ValueError, KeyError, OverflowError):
+        return False
+    return True
+
+
+# Each meta key and the check its value must pass.
+_META_KEYS = {
+    "run_config": lambda value: isinstance(value, dict),
+    "vocab": lambda value: isinstance(value, list) and all(isinstance(t, str) for t in value),
+    "opt_step": lambda value: type(value) is int and value >= 0,
+    "rng_state": _is_generator_state,
+}
 
 
 @dataclass
@@ -81,6 +98,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise DataError(f"checkpoint {path}: meta record has no {missing}")
+        malformed = [key for key, ok in _META_KEYS.items() if not ok(meta[key])]
+        if malformed:
+            raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
         named = {"param": {}, "m": {}, "v": {}}
         for key in data.files:
             kind, _, name = key.partition(":")
@@ -88,11 +108,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 named[kind][name] = data[key]
     return Checkpoint(
         run_config=RunConfig.from_dict(meta["run_config"]).validate(),
-        vocab_tokens=list(meta["vocab"]),
+        vocab_tokens=meta["vocab"],
         params=named["param"],
         m=named["m"],
         v=named["v"],
-        opt_step=int(meta["opt_step"]),
+        opt_step=meta["opt_step"],
         rng_state=meta["rng_state"],
     )
 

@@ -231,10 +231,7 @@ class Summarizer:
 
     def _feed_forward(self, x: Tensor, prefix: str, norm: str, training: bool) -> Tensor:
         """The feed-forward sublayer `prefix` on x, added to x and normed by `norm`."""
-        p = self.params
-        f = ad.linear(ad.relu(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])),
-                      p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-        return self._add_norm(x, f, norm, training)
+        return self._add_norm(x, ad.feed_forward(x, **self._block(prefix)), norm, training)
 
     def _embedding(self, table: str, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
         """Rows of embedding `table` for ids (..., N), scaled by sqrt(d_model),

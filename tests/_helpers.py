@@ -73,3 +73,29 @@ def check_grads(build_loss, tensors: dict[str, "object"], eps: float = 1e-5, tol
         num = numeric_grad(lambda: build_loss().item(), t.data, eps)
         err = grad_rel_err(analytic[name], num)
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
+
+
+def closure_arrays(fn) -> list[np.ndarray]:
+    """The arrays a tape node's backward closure keeps alive: reached through
+    closure cells, nested functions, tuples, lists and dicts, with the base of
+    every view. A tensor held there stands for its data, not for its own closure."""
+    from convsum import autodiff as ad
+
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            todo.append(obj.base)
+        elif isinstance(obj, ad.Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return found

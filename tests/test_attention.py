@@ -1,22 +1,34 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import check_grads
+from _helpers import check_grads, closure_arrays
+from convsum import attention
 from convsum import autodiff as ad
 from convsum.attention import (
     AttentionConfig,
     _attention,
+    _band_attention,
+    _band_tables,
+    _heads,
+    _key_bias,
+    _merged,
+    _unwindow,
+    _window,
     attention_params,
     conv_multi_head_attention,
     head_union_indices,
     multi_head_attention,
     token_window_mask,
 )
+from convsum.autodiff import _softmax_fwd
 from convsum.errors import ContractError
+from convsum.model import ModelConfig, Summarizer
+from convsum.tokenizer import RESERVED, Vocab
 
 
 def naive_conv_attention(x, p, cfg):
@@ -389,3 +401,193 @@ class TestFusedAttentionOp:
         x = ad.constant(rng.normal(size=(3, 6)))
         with pytest.raises(ContractError, match="divisible"):
             _attention(x, x, x, 4)
+
+
+# --- the ops as they stood when they saved what backward now recomputes -------
+
+
+def _old_softmax_bwd(w, g):
+    return w * (g - (g * w).sum(axis=-1, keepdims=True))
+
+
+def saving_attention(q, k, v, heads, bias=None):
+    """The fused attention op when it saved its weights for backward: the
+    oracle of the op that recomputes them."""
+    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    c = qh.shape[-1] ** -0.5
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    s *= c
+    weights = _softmax_fwd(s, bias)
+    weights.flags.writeable = False
+    data = _merged(np.matmul(weights, vh))
+
+    def bwd(out):
+        gh = _heads(out.grad, heads)
+        gs = _old_softmax_bwd(weights, np.matmul(gh, vh.swapaxes(-1, -2)))
+        gs *= c
+        if q.requires_grad:
+            ad._acc(q, _merged(ad._unbroadcast(np.matmul(gs, kh), qh.shape)), "attention")
+        if k.requires_grad:
+            gk = np.matmul(gs.swapaxes(-1, -2), qh)
+            ad._acc(k, _merged(ad._unbroadcast(gk, kh.shape)), "attention")
+        if v.requires_grad:
+            gv = np.matmul(weights.swapaxes(-1, -2), gh)
+            ad._acc(v, _merged(ad._unbroadcast(gv, vh.shape)), "attention")
+
+    return ad._result(data, (q, k, v), bwd, "attention"), weights
+
+
+def saving_band_attention(q, k, v, cfg, key_mask=None):
+    """The banded op when it saved its union windows for backward: the oracle
+    of the op that gathers them again."""
+    *lead, L, d = q.shape
+    B = math.prod(lead)
+    H, kk = cfg.heads, cfg.head_kernel
+    dk = d // H
+    w, idx, bias, scatter = _band_tables(L, H, kk, cfg.token_kernel, cfg.circular)
+    half = (w - 1) // 2
+    c = dk ** -0.5
+    if key_mask is not None:
+        keys = _key_bias(key_mask.reshape(B, L), w)[:, :, None, None, :]
+        bias = (bias.reshape(L, H, kk, w) + keys).reshape(B, L, H, kk * w)
+
+    def union_windows(t):
+        u = np.zeros((B, L + 2 * half, H, kk, dk))
+        np.take(t.reshape(B, L, H, dk), idx, axis=2, out=u[:, half:half + L], mode="clip")
+        return _window(u, L, w)
+
+    q4 = q.data.reshape(B, L, H, dk)
+    kw, vw = union_windows(k.data), union_windows(v.data)
+    s = np.matmul(q4[:, :, :, None, None, :], kw).reshape(B, L, H, kk * w)
+    s *= c
+    weights = _softmax_fwd(s, bias)
+    weights.flags.writeable = False
+    w6 = weights.reshape(B, L, H, kk, w, 1)
+    data = np.matmul(vw, w6).sum(axis=3).reshape(q.shape)
+
+    def bwd(out):
+        g4 = out.grad.reshape(B, L, H, dk)
+        gw = np.matmul(g4[:, :, :, None, None, :], vw).reshape(B, L, H, kk * w)
+        gs = _old_softmax_bwd(weights, gw)
+        gs *= c
+        gs = gs.reshape(B, L, H, kk, w)
+        if q.requires_grad:
+            ad._acc(q, np.matmul(kw, gs[..., None]).sum(axis=3).reshape(q.shape),
+                    "band_attention")
+        if k.requires_grad:
+            ad._acc(k, _unwindow(gs, q4, scatter, half).reshape(k.shape), "band_attention")
+        if v.requires_grad:
+            ad._acc(v, _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape),
+                    "band_attention")
+
+    return ad._result(data, (q, k, v), bwd, "band_attention"), weights
+
+
+def _bias(mask):
+    return None if mask is None else np.where(mask, 0.0, -np.inf)
+
+
+_BAND_CFGS = [AttentionConfig(heads=3, token_kernel=5, head_kernel=3, conv_layers=()),
+              AttentionConfig(heads=3, token_kernel=7, head_kernel=3, circular=True,
+                              conv_layers=())]
+
+
+class TestRecomputingBackward:
+    """The attention ops keep for backward only what is O(L) per head: values
+    and every gradient are bitwise those of the ops that saved more."""
+
+    @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    def test_attention_is_bitwise_the_saving_op(self, rng, case, H):
+        arrays, mask = _attention_case(rng, case)
+        got = _run(fused_attention, arrays, H, mask)
+        want = _run(lambda q, k, v, H, m: saving_attention(q, k, v, H, _bias(m)), arrays, H, mask)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for name, g, w in zip("qkv", got[2], want[2]):
+            assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("cfg", _BAND_CFGS, ids=["clipped", "circular"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_band_op_is_bitwise_the_saving_op(self, rng, cfg, masked):
+        arrays = [rng.normal(size=(2, 9, 12)) for _ in range(3)]
+        key_mask = np.arange(9) < np.array([[9], [6]]) if masked else None
+
+        def run(op):
+            leaves = [ad.parameter(a.copy()) for a in arrays]
+            out, w = op(*leaves, cfg, key_mask)
+            r = ad.constant(np.random.default_rng(5).normal(size=out.shape))
+            ad.backward(ad.tensor_sum(ad.mul(out, r)))
+            return [out.data, w] + [t.grad for t in leaves]
+
+        for name, g, w in zip(["out", "weights", "q", "k", "v"], run(_band_attention),
+                              run(saving_band_attention)):
+            assert np.array_equal(g, w), name
+
+    def test_attention_backward_keeps_no_weights(self, rng):
+        q, k, v = (ad.parameter(rng.normal(size=(2, 5, 8))) for _ in range(3))
+        out, weights = _attention(q, k, v, 4, _bias(np.tril(np.ones((5, 5), dtype=bool))))
+        assert weights.shape == (2, 4, 5, 5)
+        assert all(a.shape[-3:] != (4, 5, 5) for a in closure_arrays(out._backward))
+
+    def test_band_backward_keeps_no_union_windows(self, rng):
+        q, k, v = (ad.parameter(rng.normal(size=(2, 9, 12))) for _ in range(3))
+        out, _ = _band_attention(q, k, v, _BAND_CFGS[0])
+        # the union windows: (B, L + w - 1, H, k_head, dk) arrays and their views
+        # (B, L, H, k_head, dk, w)
+        windows = {(2, 13, 3, 3, 4), (2, 9, 3, 3, 4, 5)}
+        assert not [a.shape for a in closure_arrays(out._backward) if a.shape in windows]
+
+
+class TestForwardMemory:
+    """What a padded training forward leaves for its backward."""
+
+    L, H = 256, 4
+
+    def _model(self):
+        vocab = Vocab(list(RESERVED) + [f"w{i}" for i in range(40)])
+        cfg = ModelConfig(d_model=32, enc_layers=2, dec_layers=1, ff_size=64, dropout=0.1,
+                          attention=AttentionConfig(heads=self.H, token_kernel=5, head_kernel=3,
+                                                    conv_layers=(0,)))
+        model = Summarizer(cfg, vocab, seed=3)
+        ids = np.random.default_rng(4).integers(len(RESERVED), len(vocab), size=(2, self.L))
+        tgt = np.full((2, 6), vocab.pad_id)
+        tgt[:, 0], tgt[:, 1:5], tgt[:, 5] = vocab.bos_id, ids[:, :4], vocab.eos_id
+        batch = [(ids[0], tgt[0]), (ids[1, :200], tgt[1])]  # the second source is padded
+        return model, model.pad_batch(batch)
+
+    @staticmethod
+    def _live_after_forward(model, src, lengths, tgt):
+        """(loss, bytes the forward leaves live), from one dropout state."""
+        model.rng = np.random.default_rng(9)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            loss, _ = model.sequence_loss(src, tgt, True, lengths)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return loss, live - base
+
+    def test_no_weights_or_windows_outlive_the_forward(self, monkeypatch):
+        model, (src, lengths, tgt) = self._model()
+        B, L, H = 2, self.L, self.H
+        self._live_after_forward(model, src, lengths, tgt)  # caches and first-use allocations
+        loss, live = self._live_after_forward(model, src, lengths, tgt)
+
+        seen, todo, held = set(), [loss], []
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen and node._backward is not None:
+                seen.add(id(node))
+                held += [node.data, *closure_arrays(node._backward)]
+                todo.extend(node._parents)
+        windows = (B, L + 4, H, 3, 32 // H)  # token window 5, head kernel 3
+        assert not [a.shape for a in held if a.shape[-3:] == (H, L, L) or a.shape == windows]
+
+        monkeypatch.setattr(attention, "_attention", saving_attention)
+        monkeypatch.setattr(attention, "_band_attention", saving_band_attention)
+        want, saving_live = self._live_after_forward(model, src, lengths, tgt)
+        assert loss.item() == want.item()
+        weights = B * H * L * L * 8  # the plain encoder layer's
+        union = 2 * math.prod(windows) * 8  # the conv layer's keys and values
+        assert saving_live - live >= weights + union

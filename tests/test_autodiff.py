@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _helpers import check_grads
+from _helpers import check_grads, closure_arrays
 from convsum import autodiff as ad
 from convsum.errors import ContractError, DegenerateInputError, NonFiniteError
 
@@ -450,6 +450,65 @@ class TestFusedLinear:
             ad.linear(x, ad.constant(rng.normal(size=(4, 2))))
         with pytest.raises(ContractError):
             ad.linear(x, ad.constant(rng.normal(size=(3, 2))), ad.constant(np.zeros(3)))
+
+
+class TestFusedFeedForward:
+    """`feed_forward` is one op; the oracle is linear(relu(linear(x, w1, b1)), w2, b2)."""
+
+    @staticmethod
+    def _tensors(rng, shape, wants_grad):
+        t = {"x": rng.normal(size=shape), "w1": rng.normal(size=(shape[-1], 6)),
+             "b1": rng.normal(size=6), "w2": rng.normal(size=(6, 4)), "b2": rng.normal(size=4)}
+        return {k: ad.Tensor(a, requires_grad=k in wants_grad) for k, a in t.items()}
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)])
+    @pytest.mark.parametrize("wants_grad", [
+        ("x", "w1", "b1", "w2", "b2"),
+        ("w1", "b1", "w2", "b2"),  # an input that wants no gradient, as in the first layer
+        ("w2", "b2"),  # the first GEMM's gradients all skipped
+        ("x",),
+        ("b1",),
+    ])
+    def test_matches_composed_ops_bitwise(self, rng, shape, wants_grad):
+        t = self._tensors(rng, shape, wants_grad)
+        r = _proj(rng, shape[:-1] + (4,))
+
+        def composed(x, w1, b1, w2, b2):
+            return ad.linear(ad.relu(ad.linear(x, w1, b1)), w2, b2)
+
+        got, got_g = _grads_of(ad.feed_forward, t, r)
+        want, want_g = _grads_of(composed, t, r)
+        assert np.array_equal(got, want)
+        assert got_g.keys() == want_g.keys() == set(wants_grad)
+        for k in want_g:
+            assert np.array_equal(got_g[k], want_g[k]), k
+
+    def test_is_one_op_saving_one_hidden_array(self, rng):
+        t = self._tensors(rng, (2, 5, 3), ("w1", "b1", "w2", "b2"))
+        out = ad.feed_forward(*t.values())
+        assert out.op == "feed_forward" and out._parents == tuple(t.values())
+        held = {id(a.data) for a in (out, *t.values())}
+        saved = [a for a in closure_arrays(out._backward) if id(a) not in held]
+        assert [a.shape for a in saved] == [(2, 5, 6)]  # h, and no pre-activation beside it
+        assert (saved[0] >= 0.0).all()
+
+    def test_finite_differences(self, rng):
+        t = self._tensors(rng, (2, 3, 3), ("x", "w1", "b1", "w2", "b2"))
+        r = _proj(rng, (2, 3, 4))
+        check_grads(lambda: ad.tensor_sum(ad.mul(ad.feed_forward(*t.values()), r)), t)
+
+    def test_shape_errors(self, rng):
+        t = self._tensors(rng, (2, 3), ())
+        with pytest.raises(ContractError, match="feed_forward"):
+            ad.feed_forward(t["x"], t["w1"], t["b2"], t["w2"], t["b2"])
+        with pytest.raises(ContractError, match="feed_forward"):
+            ad.feed_forward(t["x"], t["w1"], t["b1"], t["w1"], t["b2"])
+
+    def test_per_op_check_sees_a_pre_activation_the_relu_hides(self, rng):
+        t = self._tensors(rng, (2, 3), ())
+        t["b1"].data[2] = -np.inf
+        with pytest.raises(NonFiniteError, match="'feed_forward'"):
+            ad.feed_forward(*t.values())
 
 
 class TestNoGrad:

@@ -784,12 +784,13 @@ class TestOpCounts:
 
     def test_tape_nodes_of_a_gate_batch(self):
         nodes, _ = self._tape_nodes(*_gate_model())
-        assert nodes == 79  # 99 with add and dropout ops beside each layer norm
+        assert nodes == 71  # 79 with a three-op feed-forward, 99 with add and dropout
+        # ops beside each layer norm too
 
     @pytest.mark.parametrize("overrides,nodes,loss", [
-        ({"integration": "stacking"}, 77, 4.419217669825497),
+        ({"integration": "stacking"}, 69, 4.419217669825497),
         # the conv branch is encoder layer 0 whatever conv_layers says
-        ({"integration": "concatenation", "conv_layers": ()}, 82, 4.1981040276337405),
+        ({"integration": "concatenation", "conv_layers": ()}, 74, 4.1981040276337405),
     ])
     def test_tape_nodes_of_a_conditioned_gate_batch(self, overrides, nodes, loss):
         got_nodes, got_loss = self._tape_nodes(*_gate_model(provider="stub", **overrides))
@@ -809,7 +810,8 @@ class TestOpCounts:
             monkeypatch.setattr(module, "_result",
                                 lambda d, p, b, op: (ops.append(op), result(d, p, b, op))[1])
         state.step(batch[0][1][1:5])
-        assert len(ops) == 49  # 55 with an add op beside each layer norm
+        assert len(ops) == 45  # 49 with a three-op feed-forward, 55 with an add op beside
+        # each layer norm too
 
     def test_finite_checks_per_decoder_step(self, monkeypatch):
         # One check per output (probabilities, attention, the two layers' new
@@ -858,7 +860,7 @@ class TestDeferredChecks:
         before = (opt.step, model.params.theta.tobytes(),
                   {k: a.tobytes() for k, a in opt.m.items()},
                   {k: a.tobytes() for k, a in opt.v.items()})
-        with pytest.raises(NonFiniteError, match="'linear'"):
+        with pytest.raises(NonFiniteError, match="'feed_forward'"):
             model.train_step(batch, opt)
         after = (opt.step, model.params.theta.tobytes(),
                  {k: a.tobytes() for k, a in opt.m.items()},
@@ -869,7 +871,7 @@ class TestDeferredChecks:
         ref, _, _ = self._trained()
         ref.params["dec.1.ff.w2"].data[3, 5] = np.nan
         src, lengths, tgt = ref.pad_batch(batch)
-        with pytest.raises(NonFiniteError, match="'linear'"):
+        with pytest.raises(NonFiniteError, match="'feed_forward'"):
             ref.sequence_loss(src, tgt, True, lengths)
         assert model.rng.bit_generator.state == ref.rng.bit_generator.state
 
@@ -877,13 +879,18 @@ class TestDeferredChecks:
         model, batch, opt = self._trained()
         theta = model.params.theta.tobytes()
 
-        def relu_nan_grad(a):
-            def bwd(out):
-                ad._acc(a, np.full(a.shape, np.nan), "relu_nan_grad")
-            return ad._result(np.maximum(a.data, 0.0), (a,), bwd, "relu_nan_grad")
+        feed_forward = ad.feed_forward
 
-        monkeypatch.setattr(ad, "relu", relu_nan_grad)
-        with pytest.raises(NonFiniteError, match="backward of 'relu_nan_grad'"):
+        def ff_nan_grad(x, w1, b1, w2, b2):
+            with ad.no_grad():
+                data = feed_forward(x, w1, b1, w2, b2).data
+
+            def bwd(out):
+                ad._acc(x, np.full(x.shape, np.nan), "ff_nan_grad")
+            return ad._result(data, (x,), bwd, "ff_nan_grad")
+
+        monkeypatch.setattr(ad, "feed_forward", ff_nan_grad)
+        with pytest.raises(NonFiniteError, match="backward of 'ff_nan_grad'"):
             model.train_step(batch, opt)
         assert model.params.theta.tobytes() == theta and opt.step == 1
 
@@ -916,7 +923,7 @@ class TestDeferredChecks:
         w2 = model.params["dec.1.ff.w2"].data
         good = w2[0, 0]
         w2[0, 0] = np.nan  # layer 0's keys/values are already computed when layer 1 fails
-        with pytest.raises(NonFiniteError, match="'linear'"):
+        with pytest.raises(NonFiniteError, match="'feed_forward'"):
             state.step(tokens[2:6])
         assert (state.pos, state.rows) == (2, 4)
         assert all(a is b for a, b in zip(state.keys + state.values, keys + values))
