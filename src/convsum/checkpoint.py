@@ -17,24 +17,9 @@ from .optim import OptimizerState
 from .tokenizer import Vocab
 
 FORMAT_VERSION = 1
-
-
-def _is_generator_state(state) -> bool:
-    """Whether a model's generator (`default_rng`'s) accepts `state`."""
-    try:
-        np.random.default_rng().bit_generator.state = state
-    except (TypeError, ValueError, KeyError, OverflowError):
-        return False
-    return True
-
-
-# Each meta key and the check its value must pass.
-_META_KEYS = {
-    "run_config": lambda value: isinstance(value, dict),
-    "vocab": lambda value: isinstance(value, list) and all(isinstance(t, str) for t in value),
-    "opt_step": lambda value: type(value) is int and value >= 0,
-    "rng_state": _is_generator_state,
-}
+# Each meta key and the JSON kind of its value; `load_state` checks that the
+# model's generator accepts the RNG state.
+_META_KEYS = {"run_config": dict, "vocab": list, "opt_step": int, "rng_state": dict}
 
 
 @dataclass
@@ -98,7 +83,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise DataError(f"checkpoint {path}: meta record has no {missing}")
-        malformed = [key for key, ok in _META_KEYS.items() if not ok(meta[key])]
+        malformed = [key for key, kind in _META_KEYS.items() if not isinstance(meta[key], kind)]
         if malformed:
             raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
         named = {"param": {}, "m": {}, "v": {}}
@@ -149,4 +134,7 @@ def load_state(ckpt: Checkpoint, model: Summarizer, opt: OptimizerState) -> None
     except ContractError as e:
         raise ConfigError(f"checkpoint/config mismatch: {e}") from None
     opt.step = ckpt.opt_step
-    model.rng.bit_generator.state = ckpt.rng_state
+    try:
+        model.rng.bit_generator.state = ckpt.rng_state
+    except (TypeError, ValueError, KeyError, OverflowError) as e:
+        raise DataError(f"checkpoint meta record has malformed ['rng_state']: {e}") from None

@@ -30,17 +30,6 @@ _MALLOC_SETTINGS = (
 
 
 @functools.cache
-def _libc() -> ctypes.CDLL | None:
-    """glibc, with `mallopt` and `malloc_trim` declared; None on any other C library."""
-    if platform.libc_ver()[0] != "glibc":
-        return None
-    libc = ctypes.CDLL("libc.so.6")
-    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
-    return libc
-
-
-@functools.cache
 def _keep_heap_resident() -> None:
     """Once per process, on glibc: keep freed memory in the heap for reuse.
 
@@ -52,29 +41,14 @@ def _keep_heap_resident() -> None:
     whose step frees more than any given threshold would hand pages back
     that its next step faults in again. Each setting also turns off glibc's
     adaptive mmap threshold, so they are chosen as one set: top pad alone
-    made long steps fault far more. Steps never trim; `_release_free_heap`
-    hands the free heap back once per `Trainer`, before its model is built.
-    A no-op elsewhere.
+    made long steps fault far more. A no-op elsewhere.
     """
-    libc = _libc()
-    if libc is not None:
-        for param, value in _MALLOC_SETTINGS:
-            libc.mallopt(param, value)
-
-
-def _release_free_heap() -> None:
-    """On glibc, hand the heap's free pages back to the system (`malloc_trim(0)`).
-
-    A `Trainer` calls it once, before it builds its model: a process that
-    trained before (an earlier `Trainer`, still alive or not) holds the heap
-    its steps grew, and the new model's arenas and first steps would
-    otherwise take fresh pages on top of it whenever they do not fit in its
-    free chunks. Never called per step, so steps keep reusing their heap. A
-    no-op elsewhere.
-    """
-    libc = _libc()
-    if libc is not None:
-        libc.malloc_trim(0)
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL("libc.so.6").mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
 
 
 class DirectoryLock:
@@ -140,7 +114,6 @@ class Trainer:
         if not pairs:
             raise DataError("trainer: no training pairs")
         _keep_heap_resident()
-        _release_free_heap()
         self.cfg = cfg
         self.vocab = vocab
         self.pairs = pairs

@@ -11,7 +11,6 @@ import pytest
 
 from _helpers import WORD_POOL, make_lead_corpus
 from convsum import cli
-from convsum import trainer as trainer_mod
 from convsum.attention import AttentionConfig
 from convsum.config import SCHEMA, RunConfig, load_config, parse_config_text, parse_value
 from convsum.decoding import DecodingConfig
@@ -259,30 +258,6 @@ class TestTrainer:
         other = RunConfig(**{**cfg.to_dict(), "d_model": 32, "conv_layers": ()})
         with pytest.raises(ConfigError, match="d_model"):
             Trainer(other, vocab, pairs, resume_from=str(ck))
-
-    def test_each_trainer_releases_the_free_heap_once_before_its_model(self, tmp_path,
-                                                                        monkeypatch):
-        docs, vocab, cfg = _toy_setup(tmp_path, steps=4)
-        pairs = encode_pairs(docs, vocab, cfg)
-        calls, build = [], trainer_mod.build_model
-
-        class Libc:
-            def malloc_trim(self, pad):
-                calls.append(f"trim {pad}")
-
-        monkeypatch.setattr(trainer_mod, "_keep_heap_resident", lambda: None)
-        monkeypatch.setattr(trainer_mod, "_libc", Libc)
-        monkeypatch.setattr(trainer_mod, "build_model",
-                            lambda *args: (calls.append("build"), build(*args))[1])
-        Trainer(cfg, vocab, pairs).train(until_step=3)
-        Trainer(cfg, vocab, pairs)
-        assert calls == ["trim 0", "build", "trim 0", "build"]  # and none per step
-
-    def test_heap_release_is_a_no_op_off_glibc(self, monkeypatch):
-        monkeypatch.setattr(trainer_mod.platform, "libc_ver", lambda: ("musl", "1.2"))
-        assert trainer_mod._libc.__wrapped__() is None
-        monkeypatch.setattr(trainer_mod, "_libc", lambda: None)
-        trainer_mod._release_free_heap()
 
     def test_directory_lock(self, tmp_path):
         with DirectoryLock(str(tmp_path)):
