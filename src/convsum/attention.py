@@ -50,7 +50,7 @@ import numpy as np
 
 from .autodiff import Tensor, _acc, _result, _softmax_bwd, _softmax_fwd, _unbroadcast, linear
 from .errors import ContractError
-from .optim import Init, Parameters
+from .optim import Init
 
 
 @dataclass(frozen=True)
@@ -69,25 +69,6 @@ class AttentionConfig:
                 raise ContractError(f"{name} must be odd and >= 1, got {k}")
         if self.circular and self.head_kernel > self.heads:
             raise ContractError("circular head kernel larger than head count would duplicate heads")
-
-
-def token_window_mask(length: int, token_kernel: int) -> np.ndarray:
-    """(L, L) boolean mask: (i, j) valid iff |i - j| <= (k-1)/2."""
-    if length < 1:
-        raise ContractError("token_window_mask: length must be >= 1")
-    if token_kernel < 1 or token_kernel % 2 == 0:
-        raise ContractError("token_window_mask: kernel must be odd and >= 1")
-    half = (token_kernel - 1) // 2
-    pos = np.arange(length)
-    return np.abs(pos[:, None] - pos[None, :]) <= half
-
-
-def head_union_indices(h: int, heads: int, head_kernel: int, circular: bool) -> list[int]:
-    """Head indices pooled with head h, in offset order; clipped or wrapped."""
-    if not 0 <= h < heads:
-        raise ContractError(f"head index {h} out of range for {heads} heads")
-    idx, valid = _union_table(heads, head_kernel, circular)
-    return [int(j) for j in idx[h][valid[h]]]
 
 
 def _union_table(heads: int, head_kernel: int, circular: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +94,6 @@ def attention_inits(d: int) -> dict[str, Init]:
     w = Init((d, d), lambda rng, shape: rng.uniform(-lim, lim, shape))
     b = Init((d,))
     return {"wq": w, "wk": w, "wv": w, "wo": w, "bq": b, "bk": b, "bv": b, "bo": b}
-
-
-def attention_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
-    """One attention block's parameters, drawn from rng."""
-    return dict(Parameters(attention_inits(d), rng))
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:

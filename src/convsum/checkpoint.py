@@ -25,7 +25,7 @@ _META_KEYS = {"run_config": dict, "vocab": list, "opt_step": int, "rng_state": d
 @dataclass
 class Checkpoint:
     run_config: RunConfig
-    vocab_tokens: list[str]
+    vocab: Vocab
     params: dict[str, np.ndarray]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -62,7 +62,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; its run config is validated like a config file's."""
+    """Read a checkpoint; its run config is validated like a config file's,
+    and its vocab like a vocab file's."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as e:
@@ -86,6 +87,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         malformed = [key for key, kind in _META_KEYS.items() if not isinstance(meta[key], kind)]
         if malformed:
             raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
+        try:
+            vocab = Vocab(meta["vocab"])
+        except ContractError as e:
+            raise DataError(f"checkpoint {path}: meta record has malformed ['vocab']: {e}") from None
         named = {"param": {}, "m": {}, "v": {}}
         for key in data.files:
             kind, _, name = key.partition(":")
@@ -93,7 +98,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 named[kind][name] = data[key]
     return Checkpoint(
         run_config=RunConfig.from_dict(meta["run_config"]).validate(),
-        vocab_tokens=meta["vocab"],
+        vocab=vocab,
         params=named["param"],
         m=named["m"],
         v=named["v"],
@@ -104,7 +109,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
     """Rebuild the model/optimizer a checkpoint describes and load its state."""
-    model, opt = build_model(ckpt.run_config, Vocab(ckpt.vocab_tokens))
+    model, opt = build_model(ckpt.run_config, ckpt.vocab)
     load_state(ckpt, model, opt)
     return model, opt
 

@@ -57,10 +57,11 @@ def _load_model(args: argparse.Namespace):
 
 
 def cmd_build_vocab(args: argparse.Namespace) -> int:
-    if args.size <= 0:
-        raise ConfigError("--size must be positive")
     docs = data.load_jsonl(args.corpus)
-    vocab = build_vocab(data.iter_texts(docs), args.size)
+    try:
+        vocab = build_vocab(data.iter_texts(docs), args.size)
+    except ContractError as e:  # --size below the reserved tokens plus the alphabet
+        raise ConfigError(f"--size: {e}") from None
     vocab.save(args.out)
     print(f"wrote {len(vocab)} tokens to {args.out}")
     return 0

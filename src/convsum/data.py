@@ -41,12 +41,6 @@ def load_jsonl(path: str) -> list[dict]:
     return docs
 
 
-def save_jsonl(path: str, docs: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(json.dumps(doc) + "\n")
-
-
 def iter_texts(docs: list[dict]) -> Iterator[str]:
     for doc in docs:
         yield doc["source"]

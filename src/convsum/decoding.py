@@ -50,23 +50,6 @@ def coverage_penalty(coverage: np.ndarray, beta: float) -> float:
     return float(beta * np.log(np.minimum(np.maximum(coverage, COVERAGE_FLOOR), 1.0)).sum())
 
 
-class _FullPrefixDecoder:
-    """The start_decode interface for a model that only has decode_step:
-    reruns the full prefix of every row on each step."""
-
-    def __init__(self, model, memory, src_ids):
-        self.model, self.memory, self.src_ids = model, memory, src_ids
-        self.prefixes: list[list[int]] = [[]]
-
-    def step(self, last_tokens):
-        self.prefixes = [p + [int(t)] for p, t in zip(self.prefixes, last_tokens)]
-        rows = [self.model.decode_step(self.memory, self.src_ids, p) for p in self.prefixes]
-        return np.array([r[0] for r in rows], dtype=np.float64), np.array([r[1] for r in rows])
-
-    def reorder(self, rows):
-        self.prefixes = [self.prefixes[r] for r in rows]
-
-
 def _top_candidates(scores: np.ndarray, k: int, tokens: list[list[int]]) -> list[tuple]:
     """The k best (score, row, token) over finite entries of scores (B, V),
     ordered by (-score, tokens[row] + [token]); every tie at the k-th score
@@ -86,23 +69,18 @@ def beam_search(model, src_ids, cfg: DecodingConfig) -> list[int]:
     """Best decoded token-id sequence (EOS stripped) for one source.
 
     The model must expose encode(src_ids) -> memory, vocab.bos_id /
-    vocab.eos_id, and either start_decode(memory, src_ids) -> a state with
+    vocab.eos_id, and start_decode(memory, src_ids) -> a state with
     step(last_tokens (B,)) -> (probs (B, V), source attention (B, L)) and
-    reorder(rows), or decode_step(memory, src_ids, prefix) -> (probs (V,),
-    source attention (L,)), which is rerun over the full prefix per
-    hypothesis. Live hypotheses are the state's rows. Ties break by earlier
-    finish step, then lexicographic token order, which makes decoding
-    deterministic. Runs without recording a tape.
+    reorder(rows). Live hypotheses are the state's rows. Ties break by
+    earlier finish step, then lexicographic token order, which makes
+    decoding deterministic. Runs without recording a tape.
     """
     src_ids = np.asarray(src_ids, dtype=np.int64)
     if src_ids.size == 0:
         raise ContractError("beam_search: empty source")
     with no_grad():
         memory = model.encode(src_ids)
-        if hasattr(model, "start_decode"):
-            state = model.start_decode(memory, src_ids)
-        else:
-            state = _FullPrefixDecoder(model, memory, src_ids)
+        state = model.start_decode(memory, src_ids)
         return _search(state, model.vocab.bos_id, model.vocab.eos_id, src_ids.size, cfg)
 
 

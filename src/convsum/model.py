@@ -342,7 +342,6 @@ class Summarizer:
         decoder_states: Tensor,
         memory: Tensor,
         src_ids: np.ndarray,
-        force_gate: float | None = None,
         src_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor, Tensor]:
         """Mix a copy distribution over source tokens with the generator softmax.
@@ -365,13 +364,10 @@ class Summarizer:
                           d ** -0.5)
         attn = ad.softmax(scores, None if src_mask is None else src_mask[..., None, :])
         context = ad.matmul(attn, memory)
-        if force_gate is None:
-            gate = ad.sigmoid(
-                ad.linear(ad.concat([decoder_states, context], axis=-1),
-                          p["copy.gate.w"], p["copy.gate.b"])
-            )
-        else:
-            gate = ad.constant(np.full((*decoder_states.shape[:-1], 1), float(force_gate)))
+        gate = ad.sigmoid(
+            ad.linear(ad.concat([decoder_states, context], axis=-1),
+                      p["copy.gate.w"], p["copy.gate.b"])
+        )
         p_copy = ad.scatter_probs(attn, src_ids, len(self.vocab))
         p_soft = ad.softmax(ad.linear(decoder_states, p["gen.w"], p["gen.b"]))
         one_minus = ad.add(ad.scale(gate, -1.0), ad.constant(1.0))

@@ -19,6 +19,8 @@ class Vocab:
     """Immutable bidirectional token<->id table; reserved tokens pinned to ids 0-5."""
 
     def __init__(self, tokens: list[str]):
+        if not all(isinstance(t, str) for t in tokens):
+            raise ContractError("vocab tokens must be strings")
         if tuple(tokens[: len(RESERVED)]) != RESERVED:
             raise ContractError(f"vocab must start with the reserved tokens {RESERVED}")
         if len(set(tokens)) != len(tokens):
@@ -30,9 +32,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
 
     def id(self, token: str) -> int:
         try:
@@ -64,7 +63,10 @@ class Vocab:
             tokens.pop()
         if not tokens:
             raise DataError(f"empty vocab file: {path}")
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except ContractError as e:
+            raise DataError(f"vocab file {path}: {e}") from None
 
 
 def split_words(text: str) -> list[str]:
@@ -73,21 +75,23 @@ def split_words(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-def wordpieces(word: str, vocab: Vocab) -> list[str] | None:
-    """Greedy longest-match-first decomposition; None if no full decomposition."""
-    pieces: list[str] = []
+def wordpieces(word: str, vocab: Vocab) -> list[int] | None:
+    """Ids of the greedy longest-match-first decomposition; None if no full
+    decomposition. Each candidate piece costs one dict lookup."""
+    lookup = vocab._ids.get
+    ids: list[int] = []
     start = 0
     while start < len(word):
         mark = CONT if start else ""
         for end in range(len(word), start, -1):
-            piece = mark + word[start:end]
-            if piece in vocab:
+            i = lookup(mark + word[start:end])
+            if i is not None:
                 break
         else:
             return None
-        pieces.append(piece)
+        ids.append(i)
         start = end
-    return pieces
+    return ids
 
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
@@ -95,10 +99,7 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     ids = [vocab.cls_id]
     for word in split_words(text):
         pieces = wordpieces(word, vocab)
-        if pieces is None:
-            ids.append(vocab.unk_id)
-        else:
-            ids.extend(vocab.id(p) for p in pieces)
+        ids.extend([vocab.unk_id] if pieces is None else pieces)
     return ids
 
 

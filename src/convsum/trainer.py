@@ -120,7 +120,7 @@ class Trainer:
         if resume_from is not None:
             ckpt = load_checkpoint(resume_from)
             check_arch_compatible(ckpt.run_config, cfg)
-            if ckpt.vocab_tokens != vocab.tokens():
+            if ckpt.vocab.tokens() != vocab.tokens():
                 raise ConfigError("checkpoint vocab differs from the provided vocab")
         self.model, self.opt = build_model(cfg, vocab)
         if resume_from is not None:

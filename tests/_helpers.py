@@ -1,7 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking and synthetic
-corpora with a lead bias (summary = first sentence)."""
+"""Shared test utilities: finite-difference gradient checking, synthetic
+corpora with a lead bias (summary = first sentence), and the oracles that
+only tests run."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -99,3 +102,51 @@ def closure_arrays(fn) -> list[np.ndarray]:
         elif callable(obj) and getattr(obj, "__closure__", None):
             todo.extend(cell.cell_contents for cell in obj.__closure__)
     return found
+
+
+def save_jsonl(path: str, docs: list[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for doc in docs:
+            f.write(json.dumps(doc) + "\n")
+
+
+def attention_params(rng: np.random.Generator, d: int) -> dict:
+    """One attention block's parameters, drawn from rng."""
+    from convsum.attention import attention_inits
+    from convsum.optim import Parameters
+
+    return dict(Parameters(attention_inits(d), rng))
+
+
+def head_union_indices(h: int, heads: int, head_kernel: int, circular: bool) -> list[int]:
+    """Head indices pooled with head h, in offset order, read from the band
+    op's one definition of the head window (`attention._union_table`)."""
+    from convsum.attention import _union_table
+
+    idx, valid = _union_table(heads, head_kernel, circular)
+    return [int(j) for j in idx[h][valid[h]]]
+
+
+def fix_gate(model, logit: float) -> None:
+    """Zero the copy gate's weights and set its bias to `logit`, so every
+    position's gate is sigmoid(logit): a logit of +800 or -800 saturates it
+    to exactly 1.0 (copy only) or 0.0 (generator only)."""
+    model.params["copy.gate.w"].data[...] = 0.0
+    model.params["copy.gate.b"].data[...] = logit
+
+
+class FullPrefixDecoder:
+    """A `start_decode` state for a model with only `decode_step(memory,
+    src_ids, prefix)`: each step reruns every row's full prefix."""
+
+    def __init__(self, model, memory, src_ids):
+        self.model, self.memory, self.src_ids = model, memory, src_ids
+        self.prefixes: list[list[int]] = [[]]
+
+    def step(self, last_tokens):
+        self.prefixes = [p + [int(t)] for p, t in zip(self.prefixes, last_tokens)]
+        rows = [self.model.decode_step(self.memory, self.src_ids, p) for p in self.prefixes]
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+    def reorder(self, rows):
+        self.prefixes = [self.prefixes[r] for r in rows]

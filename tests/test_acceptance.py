@@ -11,17 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import check_grads, make_lead_corpus
+from _helpers import (attention_params, check_grads, fix_gate, head_union_indices,
+                      make_lead_corpus)
 from convsum import autodiff as ad
-from convsum.attention import (
-    AttentionConfig,
-    attention_params,
-    conv_multi_head_attention,
-    head_union_indices,
-    multi_head_attention,
-)
+from convsum.attention import AttentionConfig, conv_multi_head_attention, multi_head_attention
 from convsum.config import RunConfig, build_model
-from convsum.data import encode_pairs, iter_texts, save_jsonl
+from convsum.data import encode_pairs, iter_texts
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.model import ModelConfig, Summarizer
 from convsum.optim import OptimizerState, noam_rate
@@ -199,7 +194,8 @@ def test_c05_pointer_generator_mixture():
     states = ad.constant(rng.normal(size=(3, 8)))
     memory = ad.constant(rng.normal(size=(5, 8)))
     src = np.array([7, 9, 7, 11, 9])
-    gate1, copy_only, attn = m.pointer_generator(states, memory, src, force_gate=1.0)
+    fix_gate(m, 800.0)
+    gate1, copy_only, attn = m.pointer_generator(states, memory, src)
     oracle = np.zeros((3, V))
     for t in range(3):
         for j, w in enumerate(src):
@@ -207,7 +203,8 @@ def test_c05_pointer_generator_mixture():
     assert np.array_equal(copy_only.data, oracle)
     assert np.allclose(copy_only.data.sum(-1), 1.0)
 
-    _, soft_only, _ = m.pointer_generator(states, memory, src, force_gate=0.0)
+    fix_gate(m, -800.0)
+    _, soft_only, _ = m.pointer_generator(states, memory, src)
     logits = states.data @ m.params["gen.w"].data + m.params["gen.b"].data
     soft = np.exp(logits - logits.max(-1, keepdims=True))
     soft /= soft.sum(-1, keepdims=True)

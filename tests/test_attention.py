@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import check_grads, closure_arrays
+from _helpers import attention_params, closure_arrays, head_union_indices
 from convsum import attention
 from convsum import autodiff as ad
 from convsum.attention import (
@@ -19,75 +19,25 @@ from convsum.attention import (
     _merged,
     _unwindow,
     _window,
-    attention_params,
     conv_multi_head_attention,
-    head_union_indices,
     multi_head_attention,
-    token_window_mask,
 )
 from convsum.autodiff import _softmax_fwd
 from convsum.errors import ContractError
 from convsum.model import ModelConfig, Summarizer
 from convsum.tokenizer import RESERVED, Vocab
 
+from test_ops import OPS, S, _bias, _leaves, _proj, composed_attention, naive_band_attention
+
 
 def naive_conv_attention(x, p, cfg):
-    """Independent position-by-position gather/softmax reference (pure numpy)."""
-    L, d = x.shape
-    H = cfg.heads
-    dk = d // H
-    q = x @ p["wq"] + p["bq"]
-    k = x @ p["wk"] + p["bk"]
-    v = x @ p["wv"] + p["bv"]
-    half_tok = (cfg.token_kernel - 1) // 2
-    half_head = (cfg.head_kernel - 1) // 2
-    heads_out = np.zeros((L, d))
-    for h in range(H):
-        union = []
-        for off in range(-half_head, half_head + 1):
-            hp = (h + off) % H if cfg.circular else h + off
-            if 0 <= hp < H:
-                union.append(hp)
-        for i in range(L):
-            gathered = [
-                (hp, j)
-                for hp in union
-                for j in range(L)
-                if abs(i - j) <= half_tok
-            ]
-            qi = q[i, h * dk:(h + 1) * dk]
-            scores = np.array(
-                [qi @ k[j, hp * dk:(hp + 1) * dk] / math.sqrt(dk) for hp, j in gathered]
-            )
-            w = np.exp(scores - scores.max())
-            w /= w.sum()
-            out = np.zeros(dk)
-            for wm, (hp, j) in zip(w, gathered):
-                out += wm * v[j, hp * dk:(hp + 1) * dk]
-            heads_out[i, h * dk:(h + 1) * dk] = out
-    return heads_out @ p["wo"] + p["bo"]
+    """The layer in numpy: projections around the slot-by-slot banded oracle."""
+    q, k, v = (ad.constant(x @ p["w" + n] + p["b" + n]) for n in "qkv")
+    return naive_band_attention(q, k, v, cfg)[0] @ p["wo"] + p["bo"]
 
 
 def _np_params(p):
     return {k: t.data for k, t in p.items()}
-
-
-class TestTokenWindowMask:
-    def test_definition_small(self):
-        m = token_window_mask(5, 3)
-        assert list(np.flatnonzero(m[2])) == [1, 2, 3]
-        assert list(np.flatnonzero(m[0])) == [0, 1]
-
-    def test_wide_kernel_is_all_valid(self):
-        L = 4
-        assert token_window_mask(L, 2 * L - 1).all()
-
-    def test_kernel_one_is_identity(self):
-        assert np.array_equal(token_window_mask(4, 1), np.eye(4, dtype=bool))
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ContractError):
-            token_window_mask(4, 2)
 
 
 class TestHeadUnion:
@@ -139,21 +89,6 @@ class TestConvAttention:
             van, _ = multi_head_attention(x, x, p, H)
             assert np.array_equal(conv.data, van.data)
 
-    @pytest.mark.parametrize("k_tok", [1, 3, 5])
-    @pytest.mark.parametrize("k_head", [1, 3])
-    @pytest.mark.parametrize("circular", [False, True])
-    def test_matches_naive_oracle(self, rng, k_tok, k_head, circular):
-        H, L, d = 4, 6, 8
-        x = ad.constant(rng.normal(size=(L, d)))
-        p = attention_params(rng, d)
-        cfg = AttentionConfig(
-            heads=H, token_kernel=k_tok, head_kernel=k_head, circular=circular, conv_layers=()
-        )
-        got, _ = conv_multi_head_attention(x, p, cfg)
-        want = naive_conv_attention(x.data, _np_params(p), cfg)
-        denom = np.maximum(np.abs(want), 1e-30)
-        assert (np.abs(got.data - want) / denom).max() < 1e-10
-
     def test_single_position(self, rng):
         d = 8
         x = ad.constant(rng.normal(size=(1, d)))
@@ -176,13 +111,12 @@ class TestConvAttention:
         _, w = conv_multi_head_attention(x, p, cfg)
         assert w.shape == (H, L, 3 * 3)
         assert np.allclose(w.data.sum(-1), 1.0)
-        band = token_window_mask(L, 3)
         for h in range(H):
             for i in range(L):
                 for u, h_off in enumerate((-1, 0, 1)):
                     for o, j_off in enumerate((-1, 0, 1)):
                         j = i + j_off
-                        inside = 0 <= h + h_off < H and 0 <= j < L and band[i, j]
+                        inside = 0 <= h + h_off < H and 0 <= j < L
                         if not inside:
                             assert w.data[h, i, u * 3 + o] == 0.0
                         else:
@@ -205,49 +139,6 @@ class TestConvAttention:
             if abs(i - j) > half:
                 assert not changed
         assert not np.allclose(base.data[j], out2.data[j])
-
-    @pytest.mark.parametrize(
-        "H, L, d, k_tok, circular, random_bias",
-        [
-            (4, 4, 4, 3, False, False),
-            (4, 4, 4, 3, True, False),
-            # dk = 2: the keys and values of every union head reach the gradient
-            (4, 5, 8, 3, False, True),
-            (4, 5, 8, 3, True, True),
-            # k_tok > 2L-1 with k_head > 1: the banded window is clipped to w = 2L-1
-            (3, 3, 6, 9, False, True),
-            (3, 3, 6, 9, True, True),
-        ],
-        ids=["False", "True", "dk2-False", "dk2-True", "wide-False", "wide-True"],
-    )
-    def test_gradients_2d(self, rng, H, L, d, k_tok, circular, random_bias):
-        x = ad.parameter(rng.normal(size=(L, d)))
-        p = attention_params(rng, d)
-        if random_bias:
-            for name in ("bq", "bk", "bv"):
-                p[name].data[:] = rng.normal(size=d)
-        r = ad.constant(rng.normal(size=(L, d)))
-        cfg = AttentionConfig(heads=H, token_kernel=k_tok, head_kernel=3, circular=circular,
-                              conv_layers=())
-
-        def build():
-            out, _ = conv_multi_head_attention(x, p, cfg)
-            return ad.tensor_sum(ad.mul(out, r))
-
-        check_grads(build, {"x": x, **{n: p[n] for n in ("wq", "wk", "wv", "wo", "bk", "bv")}})
-
-    def test_vanilla_attention_gradients(self, rng):
-        L, d = 3, 4
-        x = ad.parameter(rng.normal(size=(L, d)))
-        p = attention_params(rng, d)
-        r = ad.constant(rng.normal(size=(L, d)))
-        mask = np.tril(np.ones((L, L), dtype=bool))
-
-        def build():
-            out, _ = multi_head_attention(x, x, p, 2, mask)
-            return ad.tensor_sum(ad.mul(out, r))
-
-        check_grads(build, {"x": x, "wk": p["wk"], "wv": p["wv"], "bo": p["bo"]})
 
 
 @st.composite
@@ -291,92 +182,9 @@ class TestBandOp:
         assert np.allclose(w.data.sum(-1), 1.0)
 
 
-def _split(x, H):
-    """(..., L, d) -> (..., H, L, d/H), composed of tape ops."""
-    *lead, L, d = x.shape
-    n = len(lead)
-    return ad.transpose(ad.reshape(x, (*lead, L, H, d // H)), (*range(n), n + 1, n, n + 2))
-
-
-def _merge(x):
-    """(..., H, L, dk) -> (..., L, H*dk), composed of tape ops."""
-    *lead, H, L, dk = x.shape
-    n = len(lead)
-    return ad.reshape(ad.transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, L, H * dk))
-
-
-def composed_attention(q, k, v, H, mask=None):
-    """The op chain the fused attention op replaces: split heads, scores,
-    scale, masked softmax, context, merge heads."""
-    qh, kh, vh = _split(q, H), _split(k, H), _split(v, H)
-    n = kh.data.ndim
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (*range(n - 2), n - 1, n - 2))),
-                      qh.shape[-1] ** -0.5)
-    weights = ad.softmax(scores, mask)
-    return _merge(ad.matmul(weights, vh)), weights
-
-
-def fused_attention(q, k, v, H, mask=None):
-    return _attention(q, k, v, H, None if mask is None else np.where(mask, 0.0, -np.inf))
-
-
-def _run(fn, arrays, H, mask):
-    """Output, weights and input gradients of a fixed random projection of
-    fn's output, on fresh leaves."""
-    leaves = [ad.parameter(a.copy()) for a in arrays]
-    out, w = fn(*leaves, H, mask)
-    r = ad.constant(np.random.default_rng(5).normal(size=out.shape))
-    ad.backward(ad.tensor_sum(ad.mul(out, r)))
-    return out.data, np.asarray(w.data if isinstance(w, ad.Tensor) else w), [t.grad for t in leaves]
-
-
-_ATTENTION_CASES = {
-    # name: (q shape, k/v shape, mask shape or None, causal)
-    "2d_unmasked": ((4, 6), (5, 6), None),
-    "batched_causal": ((2, 5, 6), (2, 5, 6), "causal"),
-    "batched_key_padding": ((3, 4, 6), (3, 7, 6), "keys"),
-    "cross_kv_broadcast_over_rows": ((3, 1, 6), (7, 6), None),
-    "cross_kv_broadcast_masked": ((2, 3, 6), (5, 6), "keys"),
-}
-
-
-def _attention_case(rng, name):
-    q_shape, kv_shape, kind = _ATTENTION_CASES[name]
-    arrays = [rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)]
-    Lq, Lk = q_shape[-2], kv_shape[-2]
-    mask = None
-    if kind == "causal":
-        mask = np.tril(np.ones((Lq, Lk), dtype=bool))
-    elif kind == "keys":
-        lead = q_shape[:-2]
-        mask = rng.random((*lead, 1, 1, Lk)) > 0.4
-        mask[..., 0] = True
-    return arrays, mask
-
-
 class TestFusedAttentionOp:
-    """The one-op attention against the composed ops it replaces."""
-
-    @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
-    @pytest.mark.parametrize("H", [1, 2, 3])
-    def test_matches_composed_ops(self, rng, case, H):
-        arrays, mask = _attention_case(rng, case)
-        got, got_w, got_g = _run(fused_attention, arrays, H, mask)
-        want, want_w, want_g = _run(composed_attention, arrays, H, mask)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_w, want_w)
-        assert not got_w.flags.writeable
-        for name, g, w in zip("qkv", got_g, want_g):
-            assert g.shape == w.shape, name
-            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
-
-    @pytest.mark.parametrize("case", ["batched_key_padding", "cross_kv_broadcast_masked"])
-    def test_finite_differences(self, rng, case):
-        arrays, mask = _attention_case(rng, case)
-        q, k, v = (ad.parameter(a) for a in arrays)
-        r = ad.constant(rng.normal(size=arrays[0].shape))
-        check_grads(lambda: ad.tensor_sum(ad.mul(fused_attention(q, k, v, 2, mask)[0], r)),
-                    {"q": q, "k": k, "v": v})
+    """The attention layer against the composed ops its fused op replaces
+    (tests/test_ops.py holds the op itself to them)."""
 
     def test_multi_head_attention_forward_is_bitwise_the_composed_layer(self, rng):
         x = ad.constant(rng.normal(size=(2, 5, 8)))
@@ -391,16 +199,6 @@ class TestFusedAttentionOp:
         assert np.array_equal(got.data, lin(ctx, "o").data)
         assert np.array_equal(w.data, want_w.data)
         assert w.shape == (2, 4, 5, 5) and not w.requires_grad
-
-    def test_one_op_per_attention(self, rng):
-        q, k, v = (ad.parameter(rng.normal(size=(3, 4))) for _ in range(3))
-        out, _ = _attention(q, k, v, 2)
-        assert out.op == "attention" and out._parents == (q, k, v)
-
-    def test_width_not_divisible_by_heads_rejected(self, rng):
-        x = ad.constant(rng.normal(size=(3, 6)))
-        with pytest.raises(ContractError, match="divisible"):
-            _attention(x, x, x, 4)
 
 
 # --- the ops as they stood when they saved what backward now recomputes -------
@@ -483,44 +281,46 @@ def saving_band_attention(q, k, v, cfg, key_mask=None):
     return ad._result(data, (q, k, v), bwd, "band_attention"), weights
 
 
-def _bias(mask):
-    return None if mask is None else np.where(mask, 0.0, -np.inf)
-
-
 _BAND_CFGS = [AttentionConfig(heads=3, token_kernel=5, head_kernel=3, conv_layers=()),
               AttentionConfig(heads=3, token_kernel=7, head_kernel=3, circular=True,
                               conv_layers=())]
+
+
+_ATTENTION = next(e for e in OPS if e.name == "attention")
 
 
 class TestRecomputingBackward:
     """The attention ops keep for backward only what is O(L) per head: values
     and every gradient are bitwise those of the ops that saved more."""
 
-    @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
-    @pytest.mark.parametrize("H", [1, 2, 3])
-    def test_attention_is_bitwise_the_saving_op(self, rng, case, H):
-        arrays, mask = _attention_case(rng, case)
-        got = _run(fused_attention, arrays, H, mask)
-        want = _run(lambda q, k, v, H, m: saving_attention(q, k, v, H, _bias(m)), arrays, H, mask)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        for name, g, w in zip("qkv", got[2], want[2]):
+    @staticmethod
+    def _run(op, sample, **kw):
+        """Output, weights and input gradients of a fixed projection of the output."""
+        leaves = _leaves(sample)
+        out, weights = op(*leaves, **{**sample.kw, **kw})
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(_proj(out.shape)))))
+        return [out.data, weights, *(t.grad for t in leaves)]
+
+    @pytest.mark.parametrize("sample", _ATTENTION.samples,
+                             ids=[f"attention-{i}" for i in range(len(_ATTENTION.samples))])
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_attention_is_bitwise_the_saving_op(self, sample, heads):
+        def saving(q, k, v, heads, mask=None):
+            return saving_attention(q, k, v, heads, _bias(mask))
+
+        for name, g, w in zip(["out", "weights", "q", "k", "v"],
+                              self._run(_ATTENTION.op, sample, heads=heads),
+                              self._run(saving, sample, heads=heads)):
             assert np.array_equal(g, w), name
 
     @pytest.mark.parametrize("cfg", _BAND_CFGS, ids=["clipped", "circular"])
     @pytest.mark.parametrize("masked", [False, True])
     def test_band_op_is_bitwise_the_saving_op(self, rng, cfg, masked):
-        arrays = [rng.normal(size=(2, 9, 12)) for _ in range(3)]
-        key_mask = np.arange(9) < np.array([[9], [6]]) if masked else None
-
-        def run(op):
-            leaves = [ad.parameter(a.copy()) for a in arrays]
-            out, w = op(*leaves, cfg, key_mask)
-            r = ad.constant(np.random.default_rng(5).normal(size=out.shape))
-            ad.backward(ad.tensor_sum(ad.mul(out, r)))
-            return [out.data, w] + [t.grad for t in leaves]
-
-        for name, g, w in zip(["out", "weights", "q", "k", "v"], run(_band_attention),
-                              run(saving_band_attention)):
+        sample = S(*(rng.normal(size=(2, 9, 12)) for _ in range(3)), cfg=cfg,
+                   key_mask=np.arange(9) < np.array([[9], [6]]) if masked else None)
+        for name, g, w in zip(["out", "weights", "q", "k", "v"],
+                              self._run(_band_attention, sample),
+                              self._run(saving_band_attention, sample)):
             assert np.array_equal(g, w), name
 
     def test_attention_backward_keeps_no_weights(self, rng):

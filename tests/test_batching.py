@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import attention_params
 from convsum import autodiff as ad
-from convsum.attention import AttentionConfig, attention_params, conv_multi_head_attention
+from convsum.attention import AttentionConfig, conv_multi_head_attention
 from convsum.errors import ContractError
 from convsum.model import ModelConfig, Summarizer
 from convsum.optim import OptimizerState, zero_grads

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import WORD_POOL, make_lead_corpus
+from _helpers import WORD_POOL, make_lead_corpus, save_jsonl
 from convsum import cli
 from convsum.attention import AttentionConfig
 from convsum.config import SCHEMA, RunConfig, load_config, parse_config_text, parse_value
 from convsum.decoding import DecodingConfig
-from convsum.data import encode_pairs, iter_texts, load_jsonl, save_jsonl
+from convsum.data import encode_pairs, iter_texts, load_jsonl
 from convsum.errors import ConfigError, DataError
 from convsum.model import ModelConfig
 from convsum.optim import OptimizerState, noam_rate
@@ -316,6 +316,14 @@ class TestCliVocab:
         cli.main(["build-vocab", "--corpus", str(corpus), "--size", "150", "--out", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
 
+    @pytest.mark.parametrize("size", ["0", "20"])
+    def test_size_below_reserved_plus_alphabet_is_config_error(self, tmp_path, capsys, size):
+        # 6 reserved tokens plus 2 entries per letter of the corpus's alphabet
+        code = cli.main(["build-vocab", "--corpus", str(self._corpus(tmp_path)), "--size", size,
+                         "--out", str(tmp_path / "v.txt")])
+        assert code == 2 and "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "v.txt").exists()
+
     def test_missing_corpus_exit_code_names_path(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")
         code = cli.main(["build-vocab", "--corpus", missing, "--size", "100",
@@ -493,11 +501,14 @@ class TestCliTrainAndUse:
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "vocab"}),
          "'vocab'"),
         (lambda text: json.dumps({**json.loads(text), "vocab": 5}), "'vocab'"),
+        (lambda text: json.dumps({**json.loads(text), "vocab": ["a", "b"]}), "'vocab'"),
+        (lambda text: json.dumps({**json.loads(text), "vocab": [*RESERVED, "a", "a"]}),
+         "'vocab'"),
         (lambda text: json.dumps({**json.loads(text), "opt_step": "x"}), "'opt_step'"),
         (lambda text: json.dumps({**json.loads(text), "run_config": []}), "'run_config'"),
         (lambda text: json.dumps({**json.loads(text), "rng_state": {}}), "'rng_state'"),
-    ], ids=["cut-short", "a-list", "no-vocab", "vocab-int", "opt-step-str", "run-config-list",
-            "rng-state-empty"])
+    ], ids=["cut-short", "a-list", "no-vocab", "vocab-int", "vocab-no-reserved-head",
+            "vocab-repeated-token", "opt-step-str", "run-config-list", "rng-state-empty"])
     def test_malformed_checkpoint_meta_is_data_error(self, trained, tmp_path, capsys,
                                                      edit, named):
         ck = self._tampered(trained, tmp_path, edit)
@@ -532,6 +543,16 @@ class TestCliTrainFlags:
         assert len(log) == 3
         step, lr, _ = log[0].split("\t")
         assert float(lr) == pytest.approx(noam_rate(cfg.d_model, 50, 1))
+
+    @pytest.mark.parametrize("tokens", [["a", "b"], [*RESERVED, "a", "b", "a"]],
+                             ids=["no-reserved-head", "repeated-token"])
+    def test_malformed_vocab_file_is_data_error(self, tmp_path, capsys, tokens):
+        docs, vocab, cfg = _toy_setup(tmp_path, steps=2)
+        (tmp_path / "vocab.txt").write_text("\n".join(tokens) + "\n")
+        cfg_path = tmp_path / "run.cfg"
+        _write_config(str(cfg_path), cfg)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert "error[data]" in capsys.readouterr().err
 
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         docs, vocab, cfg = _toy_setup(tmp_path, steps=2)

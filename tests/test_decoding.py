@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _helpers import make_lead_corpus
+from _helpers import FullPrefixDecoder, make_lead_corpus
 from convsum.config import RunConfig
 from convsum.data import encode_pairs, iter_texts
 from convsum.decoding import DecodingConfig, Hypothesis, beam_search, coverage_penalty
@@ -34,6 +34,9 @@ class ToyModel:
         pos = len(prefix) - 1
         attn = np.full(len(src_ids), 1.0 / len(src_ids))
         return self.table[pos, prefix[-1]].copy(), attn
+
+    def start_decode(self, memory, src_ids):
+        return FullPrefixDecoder(self, memory, src_ids)
 
 
 def greedy_decode(model, src, cfg):
@@ -208,9 +211,10 @@ def trained_gate():
 class TestCachedDecoding:
     def test_same_tokens_as_full_prefix_adapter(self, trained_gate):
         model, sources = trained_gate
-        # no start_decode: beam_search reruns decode_step over each full prefix
+        # a decoder that reruns decode_step over each row's full prefix
         full_prefix = SimpleNamespace(
-            encode=model.encode, decode_step=model.decode_step, vocab=model.vocab
+            encode=model.encode, vocab=model.vocab,
+            start_decode=lambda memory, src: FullPrefixDecoder(model, memory, src),
         )
         for cfg in (DecodingConfig(4, 1, 20), DecodingConfig(4, 20, 20),
                     DecodingConfig(3, 2, 12, coverage_beta=0.5)):

@@ -30,28 +30,6 @@ def test_scatter_add_rows_duplicates_accumulate():
     assert np.array_equal(out[0], [0.0, 0.0])
 
 
-def test_scatter_add_cols_matches_loop(rng):
-    for _ in range(10):
-        t, l, v = rng.integers(1, 10), rng.integers(1, 30), rng.integers(2, 25)
-        cols = rng.integers(0, v, size=l)
-        cols[-1] = cols[0]  # at least one duplicate
-        w = rng.normal(size=(t, l))
-        got = np.zeros((t, v))
-        want = np.zeros((t, v))
-        kernels.scatter_add_cols(got, cols, w)
-        for i in range(t):
-            for j, c in enumerate(cols):
-                want[i, c] += w[i, j]
-        assert np.array_equal(got, want)
-
-
-def test_scatter_add_cols_row_sums_preserved(rng):
-    w = rng.random((4, 9))
-    out = np.zeros((4, 6))
-    kernels.scatter_add_cols(out, rng.integers(0, 6, size=9), w)
-    assert np.allclose(out.sum(axis=1), w.sum(axis=1))
-
-
 def _dp_lcs(a, b) -> int:
     """Two-row dynamic program: the textbook LCS length."""
     prev = [0] * (len(b) + 1)
