@@ -73,11 +73,8 @@ class AttentionConfig:
 
 def _union_table(heads: int, head_kernel: int, circular: bool) -> tuple[np.ndarray, np.ndarray]:
     """(H, k_head) gather indices plus validity; clipped slots point at an edge
-    head and are masked. The one definition of the head window."""
-    if head_kernel < 1 or head_kernel % 2 == 0:
-        raise ContractError("head kernel must be odd and >= 1")
-    if circular and head_kernel > heads:
-        raise ContractError("circular head kernel larger than head count would duplicate heads")
+    head and are masked. The one definition of the head window; the kernel
+    is one an `AttentionConfig` accepts."""
     half = (head_kernel - 1) // 2
     idx = np.arange(heads)[:, None] + np.arange(-half, half + 1)
     if circular:

@@ -17,8 +17,9 @@ from .optim import OptimizerState
 from .tokenizer import Vocab
 
 FORMAT_VERSION = 1
-# Each meta key and the JSON kind of its value; `load_state` checks that the
-# model's generator accepts the RNG state.
+# Each meta key and the JSON kind of its value (`opt_step` is also >= 0, and
+# a bool is not an int); `load_state` checks that the model's generator
+# accepts the RNG state.
 _META_KEYS = {"run_config": dict, "vocab": list, "opt_step": int, "rng_state": dict}
 
 
@@ -38,9 +39,12 @@ def save_checkpoint(
 ) -> None:
     """Write the checkpoint atomically: into `path + ".tmp"`, synced to disk,
     then renamed over `path`. A crash leaves either the old file or the new
-    one at `path`, never a partial one."""
-    named = {"param": {name: t.data for name, t in model.params.items()}, "m": opt.m, "v": opt.v}
-    arrays = {f"{kind}:{name}": arr for kind, arrs in named.items() for name, arr in arrs.items()}
+    one at `path`, never a partial one. Each flat buffer is written as one
+    array per parameter, its view of the buffer; the Adam moments not at
+    all before a step (or a restore) has allocated them."""
+    flats = {"param": model.params.theta, "m": opt.m, "v": opt.v}
+    arrays = {f"{kind}:{name}": model.params.view(flat, name)
+              for kind, flat in flats.items() if flat is not None for name in model.params}
     meta = {
         "version": FORMAT_VERSION,
         "run_config": run_config.to_dict(),
@@ -84,7 +88,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise DataError(f"checkpoint {path}: meta record has no {missing}")
-        malformed = [key for key, kind in _META_KEYS.items() if not isinstance(meta[key], kind)]
+        malformed = [key for key, kind in _META_KEYS.items() if type(meta[key]) is not kind]
+        if not malformed and meta["opt_step"] < 0:
+            malformed = ["opt_step"]
         if malformed:
             raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
         try:
@@ -116,28 +122,24 @@ def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
 
 def load_state(ckpt: Checkpoint, model: Summarizer, opt: OptimizerState) -> None:
     """Load a checkpoint's parameters, Adam moments and step, and RNG state
-    into a built model and optimizer, whose settings stay their own."""
-    expected = set(model.params)
-    if expected != set(ckpt.params):
-        missing = sorted(expected - set(ckpt.params))[:3]
-        extra = sorted(set(ckpt.params) - expected)[:3]
-        raise ConfigError(
-            f"checkpoint parameters do not match the configured model "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    for name, arr in ckpt.params.items():
-        view = model.params[name].data
-        if view.shape != arr.shape:
-            raise ConfigError(
-                f"checkpoint/config mismatch: parameter '{name}' has shape "
-                f"{arr.shape}, model expects {view.shape}"
-            )
-        view[...] = arr
-    opt.m, opt.v = ckpt.m, ckpt.v
-    try:
-        opt.bind(model.params)  # copies the moments into the optimizer's flat buffers
-    except ContractError as e:
-        raise ConfigError(f"checkpoint/config mismatch: {e}") from None
+    into a built model and optimizer, whose settings stay their own. The
+    parameters and each moment must cover every parameter in its shape;
+    only a step-0 checkpoint may hold no moments, which load as zeros."""
+    params = model.params
+    want = {name: shape for name, (_, _, shape) in params.slots.items()}
+    held = {"parameter": ckpt.params, "Adam moment m": ckpt.m, "Adam moment v": ckpt.v}
+    if ckpt.opt_step == 0 and not ckpt.m and not ckpt.v:
+        held = {"parameter": ckpt.params}
+    for kind, arrays in held.items():
+        got = {name: arr.shape for name, arr in arrays.items()}
+        if got != want:
+            name = next(n for n in [*want, *got] if got.get(n) != want.get(n))
+            raise ConfigError(f"checkpoint/config mismatch: {kind} '{name}' has shape "
+                              f"{got.get(name)}, model expects {want.get(name)}")
+    opt.bind(params)
+    for flat, arrays in ((params.theta, ckpt.params), (opt.m, ckpt.m), (opt.v, ckpt.v)):
+        for name in params:
+            params.view(flat, name)[...] = arrays.get(name, 0.0)
     opt.step = ckpt.opt_step
     try:
         model.rng.bit_generator.state = ckpt.rng_state

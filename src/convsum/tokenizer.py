@@ -48,9 +48,12 @@ class Vocab:
         return list(self._tokens)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self._tokens:
-                f.write(t + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as f:
+                for t in self._tokens:
+                    f.write(t + "\n")
+        except OSError as e:
+            raise DataError(f"cannot write vocab file {path}: {e}") from e
 
     @classmethod
     def load(cls, path: str) -> "Vocab":

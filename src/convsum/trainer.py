@@ -149,21 +149,27 @@ class Trainer:
     def run(self) -> list[tuple[int, float, float]]:
         """Full training per config: lock the checkpoint dir, log every step,
         checkpoint every `checkpoint_every` steps and at the end. A run
-        resumed from an earlier checkpoint first drops the log rows past it."""
-        os.makedirs(self.cfg.checkpoint_dir, exist_ok=True)
+        resumed from an earlier checkpoint first drops the log rows past it.
+        A directory, lock, log or checkpoint that cannot be written is a
+        DataError."""
+        directory = self.cfg.checkpoint_dir
         rows: list[tuple[int, float, float]] = []
-        with DirectoryLock(self.cfg.checkpoint_dir):
-            log_path = os.path.join(self.cfg.checkpoint_dir, LOG_NAME)
-            _truncate_log(log_path, self.opt.step)
-            with open(log_path, "a", encoding="utf-8") as log:
-                while self.opt.step < self.cfg.steps:
-                    next_stop = min(
-                        self.cfg.steps,
-                        (self.opt.step // self.cfg.checkpoint_every + 1)
-                        * self.cfg.checkpoint_every,
-                    )
-                    rows.extend(self.train(until_step=next_stop, log=log))
-                    self.save(os.path.join(self.cfg.checkpoint_dir, f"ckpt-{self.opt.step}.npz"))
+        try:
+            os.makedirs(directory, exist_ok=True)
+            with DirectoryLock(directory):
+                log_path = os.path.join(directory, LOG_NAME)
+                _truncate_log(log_path, self.opt.step)
+                with open(log_path, "a", encoding="utf-8") as log:
+                    while self.opt.step < self.cfg.steps:
+                        next_stop = min(
+                            self.cfg.steps,
+                            (self.opt.step // self.cfg.checkpoint_every + 1)
+                            * self.cfg.checkpoint_every,
+                        )
+                        rows.extend(self.train(until_step=next_stop, log=log))
+                        self.save(os.path.join(directory, f"ckpt-{self.opt.step}.npz"))
+        except OSError as e:  # the loop writes too: a log row per step, a checkpoint per stop
+            raise DataError(f"cannot write to checkpoint directory {directory}: {e}") from e
         return rows
 
     def save(self, path: str) -> None:

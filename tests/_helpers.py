@@ -120,9 +120,11 @@ def attention_params(rng: np.random.Generator, d: int) -> dict:
 
 def head_union_indices(h: int, heads: int, head_kernel: int, circular: bool) -> list[int]:
     """Head indices pooled with head h, in offset order, read from the band
-    op's one definition of the head window (`attention._union_table`)."""
-    from convsum.attention import _union_table
+    op's one definition of the head window (`attention._union_table`), for a
+    head kernel that `AttentionConfig` accepts."""
+    from convsum.attention import AttentionConfig, _union_table
 
+    AttentionConfig(heads=heads, head_kernel=head_kernel, circular=circular)
     idx, valid = _union_table(heads, head_kernel, circular)
     return [int(j) for j in idx[h][valid[h]]]
 

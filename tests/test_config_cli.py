@@ -331,6 +331,13 @@ class TestCliVocab:
         assert code == 3
         assert missing in capsys.readouterr().err
 
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys):
+        corpus = self._corpus(tmp_path)
+        out = str(corpus / "v.txt")  # under a regular file
+        code = cli.main(["build-vocab", "--corpus", str(corpus), "--size", "100", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 3 and "error[data]" in err and out in err
+
 
 def _write_config(path: str, cfg: RunConfig) -> None:
     lines = []
@@ -505,10 +512,13 @@ class TestCliTrainAndUse:
         (lambda text: json.dumps({**json.loads(text), "vocab": [*RESERVED, "a", "a"]}),
          "'vocab'"),
         (lambda text: json.dumps({**json.loads(text), "opt_step": "x"}), "'opt_step'"),
+        (lambda text: json.dumps({**json.loads(text), "opt_step": -1}), "'opt_step'"),
+        (lambda text: json.dumps({**json.loads(text), "opt_step": True}), "'opt_step'"),
         (lambda text: json.dumps({**json.loads(text), "run_config": []}), "'run_config'"),
         (lambda text: json.dumps({**json.loads(text), "rng_state": {}}), "'rng_state'"),
     ], ids=["cut-short", "a-list", "no-vocab", "vocab-int", "vocab-no-reserved-head",
-            "vocab-repeated-token", "opt-step-str", "run-config-list", "rng-state-empty"])
+            "vocab-repeated-token", "opt-step-str", "opt-step-negative", "opt-step-bool",
+            "run-config-list", "rng-state-empty"])
     def test_malformed_checkpoint_meta_is_data_error(self, trained, tmp_path, capsys,
                                                      edit, named):
         ck = self._tampered(trained, tmp_path, edit)
@@ -561,6 +571,43 @@ class TestCliTrainFlags:
         code = cli.main(["train", "--config", str(cfg_path), "--steps", "soon"])
         assert code == 2
         assert "cannot parse" in capsys.readouterr().err
+
+
+def _file_in_the_way(tmp_path, monkeypatch):
+    return str(tmp_path / "run.cfg" / "ckpt")  # a directory under a regular file
+
+
+def _lock_refused(tmp_path, monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "open", refuse)  # the lock is the one file made with os.open
+    return str(tmp_path / "ckpt")
+
+
+def _directory_named(name):
+    def block(tmp_path, monkeypatch):
+        (tmp_path / "ckpt" / name).mkdir(parents=True)
+        return str(tmp_path / "ckpt")
+    return block
+
+
+class TestCliUnwritableOutput:
+    @pytest.mark.parametrize("block", [
+        _file_in_the_way, _lock_refused, _directory_named("loss.tsv"),
+        _directory_named("ckpt-2.npz"),
+    ], ids=["dir-under-a-file", "lock", "loss-log", "checkpoint"])
+    def test_train_output_that_cannot_be_written_is_data_error(self, tmp_path, capsys,
+                                                               monkeypatch, block):
+        docs, vocab, cfg = _toy_setup(tmp_path, steps=2)
+        cfg_path = tmp_path / "run.cfg"
+        _write_config(str(cfg_path), cfg)
+        ckpt_dir = block(tmp_path, monkeypatch)
+        code = cli.main(["train", "--config", str(cfg_path), "--checkpoint-dir", ckpt_dir])
+        err = capsys.readouterr().err
+        assert code == 3 and f"error[data]: cannot write to checkpoint directory {ckpt_dir}" in err
+        if os.path.isdir(ckpt_dir):  # the lock is released and no partial checkpoint is left
+            assert not {"LOCK", "ckpt-2.npz.tmp"} & set(os.listdir(ckpt_dir))
 
 
 class TestCliProviderModes:

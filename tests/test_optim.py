@@ -24,72 +24,103 @@ class TestSchedule:
             noam_rate(64, 100, 0)
 
 
+def _arena(**values) -> Parameters:
+    """A parameter arena holding `values`, its gradient buffer allocated."""
+    params = Parameters({name: Init(np.shape(x)) for name, x in values.items()})
+    for name, x in values.items():
+        params[name].data[...] = x
+    zero_grads(params)
+    return params
+
+
+def _backward(params: Parameters, **grads) -> None:
+    """Write gradients into the arena, where a backward pass writes them."""
+    for name, g in grads.items():
+        p = params[name]
+        p._grad_buf[...] = g
+        p.grad = p._grad_buf
+
+
 class TestAdam:
     def test_update_matches_hand_rolled_adam(self, rng):
-        p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        params = _arena(p=rng.normal(size=(3, 2)))
         g = rng.normal(size=(3, 2))
-        p.grad = g.copy()
-        before = p.data.copy()
+        _backward(params, p=g)
+        before = params["p"].data.copy()
         state = OptimizerState(d_model=64, warmup=10, beta1=0.9, beta2=0.98, eps=1e-9)
-        lr = adam_noam_step(state, {"p": p})
+        lr = adam_noam_step(state, params)
 
         m = 0.1 * g
         v = 0.02 * g * g
         expected = before - lr * (m / 0.1) / (np.sqrt(v / 0.02) + 1e-9)
-        assert np.allclose(p.data, expected, atol=1e-15)
+        assert np.allclose(params["p"].data, expected, atol=1e-15)
         assert state.step == 1
         assert abs(lr - noam_rate(64, 10, 1)) < 1e-18
 
     def test_zero_gradient_leaves_param_unchanged_on_first_step(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        p.grad = np.zeros((2, 2))
+        params = _arena(p=np.ones((2, 2)))
+        _backward(params, p=np.zeros((2, 2)))
         state = OptimizerState(d_model=64, warmup=10)
-        adam_noam_step(state, {"p": p})
-        assert np.array_equal(p.data, np.ones((2, 2)))
+        adam_noam_step(state, params)
+        assert np.array_equal(params["p"].data, np.ones((2, 2)))
 
-    def test_missing_gradient_skipped(self):
-        p = Tensor(np.ones(3), requires_grad=True)
+    def test_parameter_without_gradient_is_refused(self):
+        params = _arena(a=np.ones(2), b=np.ones(3))
+        _backward(params, a=np.ones(2))
         state = OptimizerState(d_model=64, warmup=10)
-        adam_noam_step(state, {"p": p})
-        assert np.array_equal(p.data, np.ones(3))
-        assert "p" not in state.m
+        with pytest.raises(ContractError, match="'b' has no gradient"):
+            adam_noam_step(state, params)
+        assert np.array_equal(params.theta, np.ones(5)) and state.step == 0 and state.m is None
+
+    def test_gradient_held_outside_the_arena_is_refused(self, rng):
+        params = _arena(a=rng.normal(size=(2, 3)), b=rng.normal(size=4))
+        _backward(params, a=rng.normal(size=(2, 3)))
+        params["b"].grad = np.ones(4)  # set by hand, not written into the arena
+        theta = params.theta.copy()
+        state = OptimizerState(d_model=64, warmup=10)
+        with pytest.raises(ContractError, match="'b' is held outside the gradient arena"):
+            adam_noam_step(state, params)
+        # before the first zero_grads there is no arena to write into
+        fresh = Parameters({"a": Init((2,))})
+        fresh["a"].grad = np.ones(2)
+        with pytest.raises(ContractError, match="'a' is held outside"):
+            adam_noam_step(state, fresh)
+        assert np.array_equal(params.theta, theta) and state.step == 0
+
+    def test_plain_dict_is_refused(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        p.grad = np.ones(2)
+        state = OptimizerState(d_model=64, warmup=10)
+        with pytest.raises(ContractError, match="Parameters arena"):
+            adam_noam_step(state, {"p": p})
+        assert np.array_equal(p.data, np.ones(2)) and state.step == 0
 
     def test_nonfinite_gradient_aborts_whole_update(self):
-        a = Tensor(np.ones(2), requires_grad=True)
-        b = Tensor(np.ones(2), requires_grad=True)
-        a.grad = np.ones(2)
-        b.grad = np.array([np.nan, 1.0])
+        params = _arena(a=np.ones(2), b=np.ones(2))
+        _backward(params, a=np.ones(2), b=np.array([np.nan, 1.0]))
         state = OptimizerState(d_model=64, warmup=10)
-        with pytest.raises(NonFiniteError, match="b"):
-            adam_noam_step(state, {"a": a, "b": b})
-        assert np.array_equal(a.data, np.ones(2))  # nothing was touched
+        with pytest.raises(NonFiniteError, match="'b'"):
+            adam_noam_step(state, params)
+        assert np.array_equal(params.theta, np.ones(4))  # nothing was touched
         assert state.step == 0
 
     def test_step_counter_strictly_increments(self, rng):
-        p = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        params = _arena(p=rng.normal(size=(2,)))
         state = OptimizerState(d_model=64, warmup=10)
         for expected in (1, 2, 3):
-            p.grad = rng.normal(size=(2,))
-            adam_noam_step(state, {"p": p})
+            zero_grads(params)
+            _backward(params, p=rng.normal(size=(2,)))
+            adam_noam_step(state, params)
             assert state.step == expected
 
-    def test_gradient_set_from_outside_is_copied_into_the_arena(self, rng):
-        params = Parameters({"a": Tensor(rng.normal(size=(2, 3)), requires_grad=True),
-                             "b": Tensor(rng.normal(size=4), requires_grad=True)})
-        g = rng.normal(size=(2, 3))
-        params["a"].grad = g
-        adam_noam_step(OptimizerState(d_model=64, warmup=10), params)
-        assert params["a"].grad is not g and np.array_equal(params["a"].grad, g)
-        assert np.shares_memory(params["a"].grad, params.grad)
-        params["b"].grad = np.ones(3)
-        with pytest.raises(ContractError, match="'b'"):
-            adam_noam_step(OptimizerState(d_model=64, warmup=10), params)
-
     def test_zero_grads(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        p.grad = np.ones(2)
-        zero_grads({"p": p})
-        assert p.grad is None
+        params = Parameters({"p": Init((2,))})
+        zero_grads(params)
+        grad = params.grad
+        _backward(params, p=np.ones(2))
+        assert params["p"].grad is params["p"]._grad_buf
+        zero_grads(params)
+        assert params["p"].grad is None and params.grad is grad  # the buffer is kept
 
 
 def _reference_adam(state, params, m, v):
@@ -98,8 +129,6 @@ def _reference_adam(state, params, m, v):
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
     for name, p in params.items():
-        if p.grad is None:
-            continue
         m.setdefault(name, np.zeros_like(p.data))
         v.setdefault(name, np.zeros_like(p.data))
         g = p.grad
@@ -111,23 +140,19 @@ def _reference_adam(state, params, m, v):
 
 
 class TestInPlaceAdam:
-    # "enc.0.ln1.g" never has a gradient, "gen.b" on every other step only
-    NEVER, SOMETIMES = "enc.0.ln1.g", "gen.b"
-
     def _steps(self, rng, model, opt, ref_params, ref_m, ref_v, n):
-        for step in range(n):
+        for _ in range(n):
+            zero_grads(model.params)
             for name, p in model.params.items():
-                skip = name == self.NEVER or (name == self.SOMETIMES and step % 2 == 0)
-                g = None if skip else rng.normal(size=p.data.shape)
-                p.grad = g
-                ref_params[name].grad = None if g is None else g.copy()
+                g = rng.normal(size=p.data.shape)
+                _backward(model.params, **{name: g})
+                ref_params[name].grad = g.copy()
             adam_noam_step(opt, model.params)
             _reference_adam(opt, ref_params, ref_m, ref_v)
             for name, p in model.params.items():
                 assert np.array_equal(p.data, ref_params[name].data), name
-            for name in ref_m:
-                assert np.array_equal(opt.m[name], ref_m[name]), name
-                assert np.array_equal(opt.v[name], ref_v[name]), name
+                assert np.array_equal(model.params.view(opt.m, name), ref_m[name]), name
+                assert np.array_equal(model.params.view(opt.v, name), ref_v[name]), name
 
     def test_bitwise_equal_to_the_out_of_place_formula_across_a_restore(self, rng, tmp_path):
         from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
@@ -141,7 +166,6 @@ class TestInPlaceAdam:
         ref = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in model.params.items()}
         ref_m, ref_v = {}, {}
         self._steps(rng, model, opt, ref, ref_m, ref_v, 4)
-        assert self.NEVER not in opt.m and self.SOMETIMES in opt.m
 
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, model, opt, cfg)
