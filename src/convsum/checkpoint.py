@@ -67,7 +67,8 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; its run config is validated like a config file's,
-    and its vocab like a vocab file's."""
+    its vocab like a vocab file's, and each parameter or moment array must
+    be float64."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as e:
@@ -101,7 +102,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         for key in data.files:
             kind, _, name = key.partition(":")
             if kind in named:
-                named[kind][name] = data[key]
+                arr = named[kind][name] = data[key]
+                if arr.dtype != np.float64:
+                    raise DataError(f"checkpoint {path}: array '{key}' has dtype {arr.dtype}, "
+                                    "expected float64")
     return Checkpoint(
         run_config=RunConfig.from_dict(meta["run_config"]).validate(),
         vocab=vocab,

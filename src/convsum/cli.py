@@ -92,7 +92,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         try:
             with open(args.input, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read input file {args.input}: {e}") from e
     src = data.encode_source(text, model.vocab, cfg)
     ids = beam_search(model, src, cfg.decoding_config())

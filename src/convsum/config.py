@@ -200,7 +200,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return parse_config_text(text)
 

@@ -15,27 +15,27 @@ from .tokenizer import Vocab, tokenize
 
 def load_jsonl(path: str) -> list[dict]:
     try:
-        f = open(path, encoding="utf-8")
-    except OSError as e:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read corpus file {path}: {e}") from e
     docs = []
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path} line {lineno}: invalid JSON ({e.msg})") from e
-            if (
-                not isinstance(doc, dict)
-                or not isinstance(doc.get("source"), str)
-                or not isinstance(doc.get("summary"), str)
-            ):
-                raise DataError(
-                    f"{path} line {lineno}: expected string fields 'source' and 'summary'"
-                )
-            docs.append(doc)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path} line {lineno}: invalid JSON ({e.msg})") from e
+        if (
+            not isinstance(doc, dict)
+            or not isinstance(doc.get("source"), str)
+            or not isinstance(doc.get("summary"), str)
+        ):
+            raise DataError(
+                f"{path} line {lineno}: expected string fields 'source' and 'summary'"
+            )
+        docs.append(doc)
     if not docs:
         raise DataError(f"empty corpus: {path}")
     return docs

@@ -1,6 +1,7 @@
 """Transformer encoder-decoder summarizer with a copy (pointer) output layer,
 optional convolutional self-attention in encoder layers, and optional
-conditioning on a frozen embedding provider via stacking or concatenation."""
+conditioning on a frozen embedding provider via stacking or concatenation.
+One decoder stack serves training, full-prefix decoding and cached beam steps."""
 
 from __future__ import annotations
 
@@ -290,52 +291,49 @@ class Summarizer:
         x = ad.linear(table, self.params["dec_proj.w"], self.params["dec_proj.b"])
         return self._drop(x + ad.constant(pe), training)
 
-    def _decoder_layer(
-        self,
-        x: Tensor,
-        i: int,
-        self_kv: tuple[Tensor, Tensor],
-        cross_kv: tuple[Tensor, Tensor],
-        mask: np.ndarray | None,
-        cross_mask: np.ndarray | None,
-        training: bool,
-    ) -> tuple[Tensor, Tensor]:
-        """Decoder layer i on x (..., T, d) given its self-attention keys/values
-        and the cross-attention keys/values of memory, with the masks of each
-        attention; returns (output, cross weights (..., H, T, L))."""
-        heads = self.cfg.attention.heads
-        a, _ = attend(x, *self_kv, self._block(f"dec.{i}.self"), heads, mask)
-        x = self._add_norm(x, a, f"dec.{i}.ln1", training)
-        c, cross_weights = attend(x, *cross_kv, self._block(f"dec.{i}.cross"), heads, cross_mask)
-        x = self._add_norm(x, c, f"dec.{i}.ln2", training)
-        return self._feed_forward(x, f"dec.{i}.ff", f"dec.{i}.ln3", training), cross_weights
+    def _cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention keys/values (..., L, d) of memory."""
+        return [project_kv(memory, self._block(f"dec.{i}.cross"))
+                for i in range(self.cfg.dec_layers)]
 
     def _decoder_states(
         self,
-        memory: Tensor,
-        prefix_ids: np.ndarray,
+        ids: np.ndarray,
+        cross_kv: list[tuple[Tensor, Tensor]],
         training: bool,
-        src_mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Run the decoder stack over prefixes (..., T) and memory (..., L, d);
-        returns (states (..., T, d), last cross-attention (..., H, T, L))."""
-        prefix_ids = np.asarray(prefix_ids, dtype=np.int64)
-        T = prefix_ids.shape[-1]
-        if T == 0:
-            raise ContractError("decode: empty prefix")
-        if (prefix_ids[..., 0] != self.vocab.bos_id).any():
-            raise ContractError("decode: prefix must begin with BOS")
-        x = self._target_embedding(prefix_ids, _sinusoid(T, self.cfg.d_model), training)
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        cross_mask = _keys(src_mask)
-        cross_weights = None
+        cross_mask: np.ndarray | None = None,
+        past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    ) -> tuple[Tensor, Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+        """The decoder stack on target ids (..., T) over memory's `cross_kv`
+        (from `_cross_kv`), whose keys `cross_mask` may mask.
+
+        Without `past`, ids are whole BOS-led prefixes under the causal mask.
+        With it, they are the next T tokens after each layer's cached
+        self-attention keys/values (..., t, d), and attend to all of them.
+        Returns (states (..., T, d), last cross-attention (..., H, T, L),
+        each layer's self-attention (keys, values) (..., t + T, d)).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        T, heads = ids.shape[-1], self.cfg.attention.heads
+        if past is None and (T == 0 or (ids[..., 0] != self.vocab.bos_id).any()):
+            raise ContractError("decode: a prefix must begin with BOS")
+        start = 0 if past is None else past[0][0].shape[-2]
+        x = self._target_embedding(ids, _sinusoid(start + T, self.cfg.d_model)[start:], training)
+        mask = np.tril(np.ones((T, T), dtype=bool)) if past is None else None
+        cache, cross_weights = [], None
         for i in range(self.cfg.dec_layers):
-            self_kv = project_kv(x, self._block(f"dec.{i}.self"))
-            cross_kv = project_kv(memory, self._block(f"dec.{i}.cross"))
-            x, cross_weights = self._decoder_layer(
-                x, i, self_kv, cross_kv, causal, cross_mask, training
-            )
-        return x, cross_weights
+            k, v = project_kv(x, self._block(f"dec.{i}.self"))
+            if past is not None:
+                k = ad.constant(np.concatenate([past[i][0], k.data], axis=-2))
+                v = ad.constant(np.concatenate([past[i][1], v.data], axis=-2))
+            cache.append((k.data, v.data))
+            a, _ = attend(x, k, v, self._block(f"dec.{i}.self"), heads, mask)
+            x = self._add_norm(x, a, f"dec.{i}.ln1", training)
+            c, cross_weights = attend(x, *cross_kv[i], self._block(f"dec.{i}.cross"), heads,
+                                      cross_mask)
+            x = self._add_norm(x, c, f"dec.{i}.ln2", training)
+            x = self._feed_forward(x, f"dec.{i}.ff", f"dec.{i}.ln3", training)
+        return x, cross_weights, cache
 
     def pointer_generator(
         self,
@@ -396,18 +394,18 @@ class Summarizer:
     def decode_step(
         self, memory: Tensor, src_ids, prefix_ids, training: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Next-token distribution for the last prefix position, recomputed
-        over the full prefix: the reference for `start_decode`.
+        """Next-token distribution for the last prefix position, the decoder
+        stack rerun over the full prefix: the reference for `start_decode`.
 
         Returns (probabilities (V,), source attention (L,)); the attention row
         feeds the decoder's coverage accounting.
         """
-        states, cross = self._decoder_states(memory, prefix_ids, training)
+        states, cross, _ = self._decoder_states(prefix_ids, self._cross_kv(memory), training)
         probs, attn = self._output_head(states, cross, memory, src_ids)
         return probs.data[-1].copy(), attn.data[-1].copy()
 
     def start_decode(self, memory: Tensor, src_ids) -> "DecoderState":
-        """Incremental decoder over memory for hypotheses held as batch rows."""
+        """Cached decoder over memory for hypotheses held as batch rows."""
         return DecoderState(self, memory, np.asarray(src_ids, dtype=np.int64))
 
     # ------------------------------------------------------------------
@@ -459,7 +457,8 @@ class Summarizer:
         memory = self.encode(src_ids, training, src_mask)
         tgt_in, tgt_out = tgt_ids[..., :-1], tgt_ids[..., 1:]
         smoothing, pad, V = self.cfg.label_smoothing, self.vocab.pad_id, len(self.vocab)
-        states, _ = self._decoder_states(memory, tgt_in, training, src_mask)
+        states, _, _ = self._decoder_states(tgt_in, self._cross_kv(memory), training,
+                                            _keys(src_mask))
         if self.cfg.copy:  # the copy mixture is a distribution; the generator gives logits
             _, out, _ = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
             loss_fn = ad.label_smoothed_nll
@@ -502,61 +501,50 @@ class Summarizer:
 class DecoderState:
     """Incremental decoding of B hypotheses over one source, one per batch row.
 
-    Keeps each decoder layer's self-attention keys/values (B, t, d) for the
-    t tokens fed so far, and the cross-attention keys/values of memory,
-    projected once. `step` feeds one token per row (BOS first) and runs the
-    decoder stack and output layer on those B positions only; `reorder` makes
-    the rows follow the hypotheses that survive a beam step. Records no tape.
+    `step` feeds one token per row (BOS first) to the one decoder stack,
+    `Summarizer._decoder_states`, after the cache: each layer's
+    self-attention (keys, values) (B, t, d) for the t tokens fed so far. So
+    it runs the stack and output layer on those B positions only; memory's
+    cross-attention keys/values are projected once. `reorder` makes the rows
+    follow the hypotheses that survive a beam step. Records no tape.
     """
 
     def __init__(self, model: Summarizer, memory: Tensor, src_ids: np.ndarray):
         if memory.shape[0] != src_ids.size:
             raise ContractError("start_decode: memory length must match source ids")
         self.model, self.memory, self.src_ids = model, memory, src_ids
-        n = model.cfg.dec_layers
         with ad.no_grad():
-            self.cross_kv = [project_kv(memory, model._block(f"dec.{i}.cross")) for i in range(n)]
-        self.keys: list[np.ndarray | None] = [None] * n
-        self.values: list[np.ndarray | None] = [None] * n
-        self.pos = 0
+            self.cross_kv = model._cross_kv(memory)
+        self.cache: list[tuple[np.ndarray, np.ndarray]] | None = None
         self.rows = 1
 
     def step(self, last_tokens) -> tuple[np.ndarray, np.ndarray]:
         """Feed last_tokens (B,); returns (probabilities (B, V), source attention (B, L)).
 
         Finite checks run once, on those and on the new key/value rows
-        (`autodiff.checked_step`); the caches and position change only after
-        they pass, so a step that raises leaves the state as it was.
+        (`autodiff.checked_step`); the cache changes only after they pass, so
+        a step that raises leaves the state as it was.
         """
         m = self.model
         ids = np.asarray(last_tokens, dtype=np.int64).reshape(-1)
-        B, d, n = ids.size, m.cfg.d_model, m.cfg.dec_layers
-        if self.pos == 0 and not (ids == m.vocab.bos_id).all():
+        B = ids.size
+        if self.cache is None and (B == 0 or (ids != m.vocab.bos_id).any()):
             raise ContractError("decode: the first step must feed BOS")
-        if self.pos > 0 and B != self.rows:
+        if self.cache is not None and B != self.rows:
             raise ContractError(f"decode: {B} tokens fed to {self.rows} rows")
 
         def run():
-            keys, values = [], []
-            pe = _sinusoid(self.pos + 1, d)[self.pos:]
-            x = m._target_embedding(ids[:, None], pe, False)  # (B, 1, d)
-            for i in range(n):
-                k, v = project_kv(x, m._block(f"dec.{i}.self"))
-                if self.pos > 0:
-                    k = ad.constant(np.concatenate([self.keys[i], k.data], axis=1))
-                    v = ad.constant(np.concatenate([self.values[i], v.data], axis=1))
-                keys.append(k.data)
-                values.append(v.data)
-                x, cross = m._decoder_layer(x, i, (k, v), self.cross_kv[i], None, None, False)
-            probs, attn = m._output_head(ad.reshape(x, (B, d)), cross, self.memory, self.src_ids)
-            return probs.data, attn.data, keys, values
+            x, cross, cache = m._decoder_states(ids[:, None], self.cross_kv, False,
+                                                past=self.cache)  # x: (B, 1, d)
+            probs, attn = m._output_head(ad.reshape(x, (B, m.cfg.d_model)), cross,
+                                         self.memory, self.src_ids)
+            return probs.data, attn.data, cache
 
         def outputs(r):  # the new key/value rows; the cached ones passed when they were new
-            return (r[0], r[1], *(kv[:, -1] for kv in r[2] + r[3]))
+            return (r[0], r[1], *(a[:, -1] for kv in r[2] for a in kv))
 
         with ad.no_grad():
-            probs, attn, self.keys, self.values = ad.checked_step(run, outputs)
-        self.pos += 1
+            probs, attn, self.cache = ad.checked_step(run, outputs)
         self.rows = B
         return probs, attn
 
@@ -565,7 +553,6 @@ class DecoderState:
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         if rows.size == 0 or rows.min() < 0 or rows.max() >= self.rows:
             raise ContractError(f"decode: reorder rows must lie in [0, {self.rows})")
-        if self.pos > 0:
-            self.keys = [k[rows] for k in self.keys]
-            self.values = [v[rows] for v in self.values]
+        if self.cache is not None:
+            self.cache = [(k[rows], v[rows]) for k, v in self.cache]
         self.rows = rows.size

@@ -60,7 +60,7 @@ class Vocab:
         try:
             with open(path, encoding="utf-8") as f:
                 tokens = [line.rstrip("\n") for line in f]
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read vocab file {path}: {e}") from e
         if tokens and tokens[-1] == "":
             tokens.pop()

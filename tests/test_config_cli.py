@@ -12,6 +12,7 @@ import pytest
 from _helpers import WORD_POOL, make_lead_corpus, save_jsonl
 from convsum import cli
 from convsum.attention import AttentionConfig
+from convsum.checkpoint import load_checkpoint
 from convsum.config import SCHEMA, RunConfig, load_config, parse_config_text, parse_value
 from convsum.decoding import DecodingConfig
 from convsum.data import encode_pairs, iter_texts, load_jsonl
@@ -91,6 +92,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
 
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes("seed = 3  # caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="latin1.cfg"):
+            load_config(str(p))
+
 
 class TestOneDeclarationPerSetting:
     def _shared(self):
@@ -157,6 +164,12 @@ class TestJsonl:
         path = str(tmp_path / "absent.jsonl")
         with pytest.raises(DataError, match="absent.jsonl"):
             load_jsonl(path)
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        p = tmp_path / "latin1.jsonl"
+        p.write_bytes('{"source": "caf\xe9", "summary": "a"}\n'.encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.jsonl"):
+            load_jsonl(str(p))
 
 
 def _toy_setup(tmp_path, n_docs=12, steps=10, **cfg_kw):
@@ -391,6 +404,14 @@ class TestCliTrainAndUse:
         cli.main(args)
         assert capsys.readouterr().out == first
 
+    def test_summarize_non_utf8_input_is_data_error(self, trained, capsys):
+        tmp_path = trained[0]
+        ck, text = str(tmp_path / "ckpt" / "ckpt-10.npz"), tmp_path / "latin1.txt"
+        text.write_bytes("caf\xe9 .".encode("latin-1"))
+        assert cli.main(["summarize", "--checkpoint", ck, "--input", str(text)]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and "latin1.txt" in err
+
     def test_config_mismatch_refused(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained
         ck = str(tmp_path / "ckpt" / "ckpt-10.npz")
@@ -525,6 +546,24 @@ class TestCliTrainAndUse:
         assert cli.main(["summarize", "--checkpoint", ck, "--text", "anything"]) == 3
         err = capsys.readouterr().err
         assert "error[data]" in err and named in err
+
+    @pytest.mark.parametrize("key,bad", [
+        ("param:gen.b", lambda a: np.full(a.shape, "x")),  # a string array of the right shape
+        ("m:gen.w", lambda a: a.astype(np.float32)),
+        ("v:copy.bq", lambda a: a.astype(np.int64)),
+    ], ids=["param-str", "m-float32", "v-int64"])
+    def test_non_float64_checkpoint_array_is_data_error(self, trained, tmp_path, capsys,
+                                                        key, bad):
+        ck = tmp_path / "bad-dtype.npz"
+        with np.load(trained[0] / "ckpt" / "ckpt-10.npz") as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        arrays[key] = bad(arrays[key])
+        np.savez(ck, **arrays)
+        with pytest.raises(DataError, match=re.escape(f"'{key}'")):
+            load_checkpoint(str(ck))
+        assert cli.main(["summarize", "--checkpoint", str(ck), "--text", "anything"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and key in err
 
     def test_leadtail_head_beats_tail(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained

@@ -251,7 +251,7 @@ class TestDecode:
         memory = m.encode(src)
 
         def probs(prefix):
-            states, cross = m._decoder_states(memory, np.array(prefix), False)
+            states, cross, _ = m._decoder_states(np.array(prefix), m._cross_kv(memory), False)
             return m._output_head(states, cross, memory, src)[0].data
 
         p1, p2 = probs([vocab.bos_id]), probs([vocab.bos_id, 9])
@@ -263,7 +263,7 @@ class TestDecode:
         src = np.array([vocab.cls_id, 6, 7, 8])
         prefix = np.array([vocab.bos_id, 9, 10])
         memory = m.encode(src)
-        states, _ = m._decoder_states(memory, prefix, False)
+        states, _, _ = m._decoder_states(prefix, m._cross_kv(memory), False)
 
         d, H = cfg.d_model, cfg.attention.heads
         x = m.params["tgt_embed"].data[prefix] * math.sqrt(d) + naive_sinusoid(3, d)
@@ -907,16 +907,44 @@ class TestDeferredChecks:
         for s in (state, ref):
             s.step([model.vocab.bos_id] * 4)
             s.step(tokens[1:5])
-        keys, values = list(state.keys), list(state.values)
-        snapshot = [a.tobytes() for a in keys + values]
+        cache = list(state.cache)
+        snapshot = [a.tobytes() for kv in cache for a in kv]
         w2 = model.params["dec.1.ff.w2"].data
         good = w2[0, 0]
         w2[0, 0] = np.nan  # layer 0's keys/values are already computed when layer 1 fails
         with pytest.raises(NonFiniteError, match="'feed_forward'"):
             state.step(tokens[2:6])
-        assert (state.pos, state.rows) == (2, 4)
-        assert all(a is b for a, b in zip(state.keys + state.values, keys + values))
-        assert [a.tobytes() for a in state.keys + state.values] == snapshot
+        assert (state.cache[0][0].shape[1], state.rows) == (2, 4)
+        assert len(state.cache) == len(cache)
+        assert all(a is b for a, b in zip(state.cache, cache))
+        assert [a.tobytes() for kv in state.cache for a in kv] == snapshot
         w2[0, 0] = good
         got, want = state.step(tokens[2:6]), ref.step(tokens[2:6])
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_refused_decoder_step_runs_no_op_and_no_replay(self, monkeypatch):
+        # A first step without BOS (or with no row) and a row-count mismatch
+        # are refused before the deferred step: no op runs, so there is
+        # nothing to replay.
+        from convsum import attention
+
+        model, batch = _gate_model()
+        src, bos = batch[0][0], model.vocab.bos_id
+        memory = model.encode(src)
+        fresh, fed = model.start_decode(memory, src), model.start_decode(memory, src)
+        fed.step([bos] * 4)
+        cache = fed.cache
+        ops, steps = [], []
+        result, checked = ad._result, ad.checked_step
+        for module in (ad, attention):  # attention imports _result by name
+            monkeypatch.setattr(module, "_result",
+                                lambda d, p, b, op: (ops.append(op), result(d, p, b, op))[1])
+        monkeypatch.setattr(ad, "checked_step",
+                            lambda *a, **k: (steps.append(1), checked(*a, **k))[1])
+        for tokens in ([bos, 9, bos, bos], []):
+            with pytest.raises(ContractError, match="BOS"):
+                fresh.step(tokens)
+        with pytest.raises(ContractError, match="rows"):
+            fed.step(batch[0][1][1:4])
+        assert ops == [] and steps == []
+        assert fresh.cache is None and fed.cache is cache and fed.rows == 4

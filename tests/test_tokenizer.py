@@ -117,6 +117,12 @@ class TestVocab:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[: len(RESERVED)] == list(RESERVED)
 
+    def test_non_utf8_file_is_data_error(self, vocab, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes("\n".join([*vocab.tokens(), "caf\xe9"]).encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.txt"):
+            Vocab.load(str(p))
+
     def test_line_number_is_id(self, vocab, tmp_path):
         p = tmp_path / "v.txt"
         vocab.save(str(p))
