@@ -50,7 +50,7 @@ import numpy as np
 
 from .autodiff import Tensor, _acc, _result, _softmax_bwd, _softmax_fwd, _unbroadcast, linear
 from .errors import ContractError
-from .optim import Init
+from .optim import Init, linear_init
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,7 @@ def _union_table(heads: int, head_kernel: int, circular: bool) -> tuple[np.ndarr
 
 def attention_inits(d: int) -> dict[str, Init]:
     """Xavier-uniform projections for one attention block."""
-    lim = np.sqrt(6.0 / (d + d))
-    w = Init((d, d), lambda rng, shape: rng.uniform(-lim, lim, shape))
-    b = Init((d,))
+    w, b = linear_init(d, d)
     return {"wq": w, "wk": w, "wv": w, "wo": w, "bq": b, "bk": b, "bv": b, "bo": b}
 
 

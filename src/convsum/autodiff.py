@@ -35,7 +35,7 @@ from collections.abc import Callable
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, ConvsumError, DegenerateInputError, NonFiniteError
+from .errors import ContractError, DegenerateInputError, NonFiniteError
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -125,15 +125,15 @@ def checked_step(step: Callable, outputs: Callable = lambda result: (),
     array in `outputs(result)`; returns the step's result. A step that checks
     its own outputs, raising `NonFiniteError`, needs no `outputs`.
 
-    If one of them is not finite, or the deferred run raises a convsum error
-    (a NaN can surface as, say, a fully masked softmax row), `reset()` undoes
-    what the step consumed (a generator's draws, written gradients) and the
-    step runs again with per-op checks on: it then raises what it raises
-    without deferral, `NonFiniteError` naming the first op that made a
-    non-finite value. The deferred run ignores numpy's floating-point
-    warnings, which a NaN flowing through later ops would print; the replay
-    runs under the caller's settings. Inside another deferred step, `step()`
-    simply runs: the outer step checks.
+    If one of them is not finite, or the deferred run raises what a NaN can
+    cause (`NonFiniteError`, or `DegenerateInputError` as from a fully masked
+    softmax row), `reset()` undoes what the step consumed (a generator's
+    draws, written gradients) and the step runs again with per-op checks on,
+    raising what it raises without deferral: `NonFiniteError` naming the
+    first op that made a non-finite value. Other errors propagate from the
+    deferred run, which ignores numpy's floating-point warnings that a NaN
+    flowing through later ops would print; the replay runs under the
+    caller's settings. Inside another deferred step, `step()` simply runs.
     """
     if not _mode.per_op:
         return step()
@@ -142,7 +142,7 @@ def checked_step(step: Callable, outputs: Callable = lambda result: (),
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             result = step()
         ok = all(_finite(a) for a in outputs(result))
-    except ConvsumError:
+    except (NonFiniteError, DegenerateInputError):
         ok = False
     finally:
         _mode.per_op = True

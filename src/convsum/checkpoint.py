@@ -5,13 +5,13 @@ Round-trips are bit-exact (float64 arrays stored losslessly)."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig, build_model
 from .errors import ConfigError, ContractError, DataError
+from .files import write_atomically
 from .model import Summarizer
 from .optim import OptimizerState
 from .tokenizer import Vocab
@@ -37,11 +37,10 @@ class Checkpoint:
 def save_checkpoint(
     path: str, model: Summarizer, opt: OptimizerState, run_config: RunConfig
 ) -> None:
-    """Write the checkpoint atomically: into `path + ".tmp"`, synced to disk,
-    then renamed over `path`. A crash leaves either the old file or the new
-    one at `path`, never a partial one. Each flat buffer is written as one
-    array per parameter, its view of the buffer; the Adam moments not at
-    all before a step (or a restore) has allocated them."""
+    """Write the checkpoint, replacing `path` atomically (`write_atomically`).
+    Each flat buffer is written as one array per parameter, its view of the
+    buffer; the Adam moments not at all before a step (or a restore) has
+    allocated them."""
     flats = {"param": model.params.theta, "m": opt.m, "v": opt.v}
     arrays = {f"{kind}:{name}": model.params.view(flat, name)
               for kind, flat in flats.items() if flat is not None for name in model.params}
@@ -52,17 +51,8 @@ def save_checkpoint(
         "opt_step": opt.step,
         "rng_state": model.rng.bit_generator.state,
     }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomically(path, lambda f: np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays),
+                     "wb")
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateInputError,
     NonFiniteError,
 )
+from .files import read_text
 from .rouge import format_report, lead_tail_analysis, split_sentences
 from .tokenizer import Vocab, build_vocab, detokenize
 from .trainer import Trainer, evaluate_model
@@ -86,14 +87,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     model, cfg = _load_model(args)
-    if args.text is not None:
-        text = args.text
-    else:
-        try:
-            with open(args.input, encoding="utf-8") as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise DataError(f"cannot read input file {args.input}: {e}") from e
+    text = args.text if args.input is None else read_text(args.input, "input file", DataError)
     src = data.encode_source(text, model.vocab, cfg)
     ids = beam_search(model, src, cfg.decoding_config())
     print(detokenize(ids, model.vocab))

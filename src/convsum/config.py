@@ -13,6 +13,7 @@ from typing import get_type_hints
 from .attention import AttentionConfig
 from .decoding import DecodingConfig
 from .errors import ConfigError, ContractError
+from .files import read_text
 from .model import ModelConfig, Summarizer
 from .optim import OptimizerState
 from .providers import EmbeddingProvider, StubProvider
@@ -118,6 +119,8 @@ class RunConfig:
             raise ConfigError(str(e)) from e
         if self.provider not in ("none", "stub"):
             raise ConfigError(f"unknown provider '{self.provider}' (expected 'none' or 'stub')")
+        if self.provider == "none" and (self.integration != "none" or self.decoder_conditioned):
+            raise ConfigError("integration and decoder_conditioned need a provider, not 'none'")
         if self.provider != "none" and self.provider_width < 1:
             raise ConfigError(f"provider_width must be >= 1, got {self.provider_width}")
         if self.provider != "none" and self.provider_window < self.window:
@@ -197,12 +200,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    return parse_config_text(text)
+    return parse_config_text(read_text(path, "config file", ConfigError))
 
 
 def build_provider(cfg: RunConfig, vocab_size: int) -> EmbeddingProvider | None:

@@ -10,17 +10,13 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError
+from .files import read_text
 from .tokenizer import Vocab, tokenize
 
 
 def load_jsonl(path: str) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read corpus file {path}: {e}") from e
     docs = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, "corpus file", DataError).split("\n"), 1):
         if not line.strip():
             continue
         try:

@@ -21,7 +21,7 @@ from .attention import (
 )
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .optim import Init, Parameters, adam_noam_step, zero_grads
+from .optim import Init, Parameters, adam_noam_step, linear_init, zero_grads
 from .providers import EmbeddingProvider
 from .tokenizer import Vocab
 from .windowing import WindowingConfig, encode_long
@@ -102,11 +102,6 @@ def _keys(src_mask: np.ndarray | None) -> np.ndarray | None:
     return None if src_mask is None else src_mask[..., None, None, :]
 
 
-def _linear_init(din: int, dout: int) -> tuple[Init, Init]:
-    lim = math.sqrt(6.0 / (din + dout))
-    return Init((din, dout), lambda rng, shape: rng.uniform(-lim, lim, shape)), Init((dout,))
-
-
 def _embedding_init(V: int, d: int) -> Init:
     return Init((V, d), lambda rng, shape: rng.normal(0.0, d ** -0.5, shape))
 
@@ -161,15 +156,15 @@ class Summarizer:
             p[f"{prefix}.g"], p[f"{prefix}.b"] = Init((d,), fill=1.0), Init((d,))
 
         def put_feed_forward(prefix: str):
-            p[f"{prefix}.w1"], p[f"{prefix}.b1"] = _linear_init(d, cfg.ff_size)
-            p[f"{prefix}.w2"], p[f"{prefix}.b2"] = _linear_init(cfg.ff_size, d)
+            p[f"{prefix}.w1"], p[f"{prefix}.b1"] = linear_init(d, cfg.ff_size)
+            p[f"{prefix}.w2"], p[f"{prefix}.b2"] = linear_init(cfg.ff_size, d)
 
         if cfg.integration in ("none", "concatenation"):
             p["src_embed"] = _embedding_init(V, d)
         if cfg.integration == "stacking":
-            p["ctx_proj.w"], p["ctx_proj.b"] = _linear_init(self.provider.width, d)
+            p["ctx_proj.w"], p["ctx_proj.b"] = linear_init(self.provider.width, d)
         if cfg.integration == "concatenation":
-            p["cat_proj.w"], p["cat_proj.b"] = _linear_init(d + self.provider.width, d)
+            p["cat_proj.w"], p["cat_proj.b"] = linear_init(d + self.provider.width, d)
         for i in range(cfg.enc_layers):
             put_attention(f"enc.{i}.att")
             put_norm(f"enc.{i}.ln1")
@@ -177,7 +172,7 @@ class Summarizer:
             put_norm(f"enc.{i}.ln2")
 
         if cfg.decoder_conditioned:
-            p["dec_proj.w"], p["dec_proj.b"] = _linear_init(self.provider.width, d)
+            p["dec_proj.w"], p["dec_proj.b"] = linear_init(self.provider.width, d)
         else:
             p["tgt_embed"] = _embedding_init(V, d)
         for i in range(cfg.dec_layers):
@@ -188,10 +183,10 @@ class Summarizer:
             put_feed_forward(f"dec.{i}.ff")
             put_norm(f"dec.{i}.ln3")
 
-        p["gen.w"], p["gen.b"] = _linear_init(d, V)
+        p["gen.w"], p["gen.b"] = linear_init(d, V)
         if cfg.copy:
-            p["copy.wq"], p["copy.bq"] = _linear_init(d, d)
-            p["copy.gate.w"], p["copy.gate.b"] = _linear_init(2 * d, 1)
+            p["copy.wq"], p["copy.bq"] = linear_init(d, d)
+            p["copy.gate.w"], p["copy.gate.b"] = linear_init(2 * d, 1)
         return p
 
     def _block(self, prefix: str) -> dict[str, Tensor]:

@@ -33,6 +33,12 @@ class Init(NamedTuple):
     fill: float = 0.0
 
 
+def linear_init(din: int, dout: int) -> tuple[Init, Init]:
+    """Xavier-uniform (din, dout) weight: U(-l, l), l = sqrt(6 / (din + dout)); zero bias."""
+    lim = math.sqrt(6.0 / (din + dout))
+    return Init((din, dout), lambda rng, shape: rng.uniform(-lim, lim, shape)), Init((dout,))
+
+
 class Parameters(dict):
     """name -> parameter Tensor, with the values of all of them in one flat
     float64 buffer `theta` and their gradients in another, `grad`, laid out

@@ -8,6 +8,7 @@ import re
 from typing import Iterable
 
 from .errors import ContractError, DataError
+from .files import read_text, write_atomically
 
 PAD, UNK, CLS, SEP, BOS, EOS = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "<s>", "</s>"
 RESERVED = (PAD, UNK, CLS, SEP, BOS, EOS)
@@ -49,20 +50,15 @@ class Vocab:
 
     def save(self, path: str) -> None:
         try:
-            with open(path, "w", encoding="utf-8") as f:
-                for t in self._tokens:
-                    f.write(t + "\n")
+            write_atomically(path, lambda f: f.writelines(t + "\n" for t in self._tokens))
         except OSError as e:
             raise DataError(f"cannot write vocab file {path}: {e}") from e
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        try:
-            with open(path, encoding="utf-8") as f:
-                tokens = [line.rstrip("\n") for line in f]
-        except (OSError, UnicodeDecodeError) as e:
-            raise DataError(f"cannot read vocab file {path}: {e}") from e
-        if tokens and tokens[-1] == "":
+        """One token per line; a trailing blank line is not a token."""
+        tokens = read_text(path, "vocab file", DataError).removesuffix("\n").split("\n")
+        if tokens[-1] == "":
             tokens.pop()
         if not tokens:
             raise DataError(f"empty vocab file: {path}")

@@ -14,6 +14,7 @@ from .checkpoint import load_checkpoint, load_state, save_checkpoint
 from .config import RunConfig, build_model, check_arch_compatible
 from .decoding import DecodingConfig, beam_search
 from .errors import ConfigError, DataError
+from .files import read_text, write_atomically
 from .model import Summarizer
 from .rouge import RougeScore, mean_scores, rouge_all
 from .tokenizer import Vocab, detokenize
@@ -63,10 +64,9 @@ class DirectoryLock:
     def _holder(self) -> str:
         """What the pid in the lock file says about the run that holds it."""
         try:
-            with open(self.path) as f:
-                text = f.read().strip()
-        except OSError as e:
-            return f"lock file unreadable: {e.strerror}"
+            text = read_text(self.path, "lock file", DataError).strip()
+        except DataError as e:
+            return f"lock file unreadable: {e.__cause__}"
         if not text:
             return "lock file is empty"
         pid = int(text) if text.isascii() and text.isdigit() else 0
@@ -177,27 +177,20 @@ class Trainer:
 
 
 def _truncate_log(path: str, step: int) -> None:
-    """Keep only the complete loss-log rows of steps <= step; rewrites the
-    file atomically, and only when a row goes."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except FileNotFoundError:
+    """Keep only the complete loss-log rows of steps <= step, rewriting the
+    file atomically and only when a row goes; an unreadable log is an OSError."""
+    if not os.path.exists(path):
         return
+    text = read_text(path, "loss log", OSError)
 
-    def keep(line: str) -> bool:
-        head = line.split("\t", 1)[0]
-        return line.endswith("\n") and head.isdigit() and int(head) <= step
+    def keep(row: str) -> bool:
+        head = row.split("\t", 1)[0]
+        return head.isascii() and head.isdigit() and int(head) <= step
 
-    kept = [line for line in lines if keep(line)]
-    if len(kept) == len(lines):
-        return
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.writelines(kept)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    *rows, _ = text.split("\n")  # what follows the last newline is no complete row
+    kept = "".join(row + "\n" for row in rows if keep(row))
+    if kept != text:
+        write_atomically(path, lambda f: f.write(kept))
 
 
 def evaluate_model(

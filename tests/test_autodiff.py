@@ -297,6 +297,18 @@ class TestCheckedStep:
         with pytest.raises(NonFiniteError, match="'scale'"):
             ad.checked_step(step, lambda t: (t.data,))
 
+    def test_error_no_nan_causes_propagates_from_the_first_run(self):
+        # A ContractError reads the same with per-op checks on: no replay
+        calls = []
+
+        def step():
+            calls.append(ad._mode.per_op)
+            raise ContractError("bad shape")
+
+        with pytest.raises(ContractError, match="bad shape"):
+            ad.checked_step(step, lambda r: (), reset=lambda: calls.append("reset"))
+        assert calls == [False] and ad._mode.per_op
+
     def test_backward_contribution_is_named(self):
         # A NaN that only the backward pass makes reaches the outputs as a
         # gradient; the replay names the op whose backward made it.

@@ -118,7 +118,7 @@ class TestOneDeclarationPerSetting:
         cfg = RunConfig(d_model=96, heads=3, token_kernel=5, head_kernel=1, circular=True,
                         conv_layers=(1,), enc_layers=2, dec_layers=4, ff_size=40,
                         dropout=0.2, label_smoothing=0.05, integration="stacking", copy=False,
-                        decoder_conditioned=True, provider_width=8,
+                        decoder_conditioned=True, provider="stub", provider_width=8,
                         window=64, stride=16, warmup=7, beta1=0.8, beta2=0.9,
                         adam_eps=1e-6, beam_size=3, min_length=2, max_length=9,
                         coverage_beta=0.5).validate()
@@ -493,6 +493,24 @@ class TestCliTrainAndUse:
         assert "error[config]" in err and named in err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--integration", "stacking"],
+        ["--integration", "concatenation", "--enc-layers", "2", "--conv-layers", "0"],
+        ["--decoder-conditioned", "true"],
+    ], ids=["stacking", "concatenation", "decoder-conditioned"])
+    def test_conditioning_without_a_provider_exits_2_before_data_is_read(self, trained, tmp_path,
+                                                                        capsys, flags):
+        _, _, _, cfg = trained
+        absent = RunConfig(**{**cfg.to_dict(), "vocab": str(tmp_path / "no-vocab.txt"),
+                              "corpus": str(tmp_path / "no-corpus.jsonl"),
+                              "checkpoint_dir": str(tmp_path / "ckpt")})
+        cfg_path = tmp_path / "run.cfg"
+        _write_config(str(cfg_path), absent)
+        assert cli.main(["train", "--config", str(cfg_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "provider" in err
+        assert not (tmp_path / "ckpt").exists()
+
     @staticmethod
     def _tampered(trained, tmp_path, edit) -> str:
         """A copy of the trained run's checkpoint whose meta text is edit(meta text)."""
@@ -647,6 +665,27 @@ class TestCliUnwritableOutput:
         assert code == 3 and f"error[data]: cannot write to checkpoint directory {ckpt_dir}" in err
         if os.path.isdir(ckpt_dir):  # the lock is released and no partial checkpoint is left
             assert not {"LOCK", "ckpt-2.npz.tmp"} & set(os.listdir(ckpt_dir))
+
+
+class TestCliNonUtf8File:
+    """A file `convsum train` reads that is not UTF-8 exits with its reader's
+    code and names the file; a loss log or lock is a data error, not a crash."""
+
+    @pytest.mark.parametrize("name,code,named", [
+        ("train.jsonl", 3, "error.data.: cannot read corpus file .*train.jsonl"),
+        ("run.cfg", 2, "error.config.: cannot read config file .*run.cfg"),
+        ("ckpt/loss.tsv", 3, "error.data.: cannot write to checkpoint directory .*cannot read loss"),
+        ("ckpt/LOCK", 3, "error.data.: .*locked by another run: .*LOCK \\(lock file unreadable"),
+    ], ids=["corpus", "config", "loss-log", "lock"])
+    def test_non_utf8_file_exits_with_its_code(self, tmp_path, capsys, name, code, named):
+        docs, vocab, cfg = _toy_setup(tmp_path, steps=2)
+        cfg_path = tmp_path / "run.cfg"
+        _write_config(str(cfg_path), cfg)
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / name).write_bytes(b"1\t0.1\t2.0\ncaf\xe9\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == code
+        err = capsys.readouterr().err
+        assert re.search(named, err), err
 
 
 class TestCliProviderModes:

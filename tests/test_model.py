@@ -869,14 +869,25 @@ class TestDeferredChecks:
             with ad.no_grad():
                 data = feed_forward(x, w1, b1, w2, b2).data
 
-            def bwd(out):
+            def bwd(out):  # a NaN into x; the weights get zero, as Adam wants a gradient
                 ad._acc(x, np.full(x.shape, np.nan), "ff_nan_grad")
-            return ad._result(data, (x,), bwd, "ff_nan_grad")
+                for w in (w1, b1, w2, b2):
+                    ad._acc(w, np.zeros(w.shape), "ff_nan_grad")
+            return ad._result(data, (x, w1, b1, w2, b2), bwd, "ff_nan_grad")
 
         monkeypatch.setattr(ad, "feed_forward", ff_nan_grad)
         with pytest.raises(NonFiniteError, match="backward of 'ff_nan_grad'"):
             model.train_step(batch, opt)
         assert model.params.theta.tobytes() == theta and opt.step == 1
+
+    def test_contract_error_in_train_step_runs_the_step_once(self, monkeypatch):
+        model, batch, opt = self._trained()
+        model.params["gen.b"].data = model.params["gen.b"].data.copy()  # off the arena
+        runs, loss = [], model.sequence_loss
+        monkeypatch.setattr(model, "sequence_loss", lambda *a: (runs.append(1), loss(*a))[1])
+        with pytest.raises(ContractError, match="gen.b"):
+            model.train_step(batch, opt)
+        assert runs == [1]
 
     def test_one_gradient_pass_per_train_step(self, monkeypatch):
         # Adam's pre-pass is the step's only gradient check: the backward
