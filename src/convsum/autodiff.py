@@ -79,15 +79,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars are allowed on the right for * only
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -342,36 +333,35 @@ def sigmoid(a: Tensor) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
-def take(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along axis 0: out[...] = a[idx[...]]; idx may be any int shape."""
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ContractError("take: index out of range")
-    data = a.data[idx]
+def embedding(table: Tensor, ids: np.ndarray, pe: np.ndarray) -> Tensor:
+    """Rows of table (V, d) at ids (..., N), times sqrt(d), plus position rows
+    pe (N or 1, d): (..., N, d), the Transformer's input layer as one op.
+    Duplicate ids accumulate gradient."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim == 0 or table.data.ndim != 2:
+        raise ContractError("embedding: table (V, d) and ids with at least one axis required")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+        raise ContractError("embedding: id out of range")
+    c = math.sqrt(table.data.shape[1])
+    data = table.data[ids]
+    data *= c
+    try:
+        data += pe
+    except ValueError as e:
+        raise ContractError(f"embedding: positions {np.shape(pe)} do not fit {data.shape}") from e
 
     def bwd(out):
-        if a.requires_grad:
-            if a.grad is None and a._grad_buf is not None:  # scatter into the zeroed buffer
-                a._grad_buf.fill(0.0)
-                a.grad = a._grad_buf
-            # The grad must be C-contiguous so that the reshape below is a view:
-            # on a grad laid out like a transposed input it would be a copy, and
-            # the scatter would land in the copy.
-            a.grad = np.zeros(a.data.shape) if a.grad is None else np.ascontiguousarray(a.grad)
-            rows = out.grad.reshape(idx.size, -1)
-            if _mode.per_op:
-                _check_finite("backward of 'take'", rows)
-            kernels.scatter_add_rows(a.grad.reshape(a.data.shape[0], -1), idx.ravel(), rows)
+        rows = (out.grad * c).reshape(ids.size, -1)
+        if _mode.per_op:
+            _check_finite("backward of 'embedding'", rows)
+        if table.grad is None:  # scatter into zeros: the arena's buffer if it has one
+            table.grad = np.empty(table.data.shape) if table._grad_buf is None else table._grad_buf
+            table.grad.fill(0.0)
+        # In place whatever the grad's layout (one laid out like a transposed
+        # input is not C-contiguous): the table is 2-D, so nothing is reshaped.
+        kernels.scatter_add_rows(table.grad, ids.ravel(), rows)
 
-    return _result(data, (a,), bwd, "take")
-
-
-def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """table (V, d), ids (..., L) int -> (..., L, d). Duplicate ids accumulate gradient."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 0:
-        raise ContractError("embedding_lookup: ids must have at least one axis")
-    return take(table, ids)
+    return _result(data, (table,), bwd, "embedding")
 
 
 def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
@@ -503,34 +493,39 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
     return _result(data, parents, bwd, "layer_norm")
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def _affine_bwd(x: np.ndarray, weight: Tensor, bias: Tensor, g: np.ndarray, want_x: bool,
+                op: str) -> np.ndarray | None:
+    """Backward of x (..., din) @ weight (din, dout) + bias (dout,) given the
+    output's gradient g: accumulates the weight gradient, as one 2-D GEMM over
+    the flattened rows, and the bias gradient, each only if wanted; returns
+    x's gradient if `want_x`, else None."""
+    din, dout = weight.data.shape
+    if weight.requires_grad:
+        _acc(weight, np.matmul(x.reshape(-1, din).T, g.reshape(-1, dout)), op)
+    if bias.requires_grad:
+        _acc(bias, g.reshape(-1, dout).sum(axis=0), op)
+    return np.matmul(g, weight.data.T) if want_x else None
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x (..., din) @ weight (din, dout) + bias (dout,), as one op.
 
     The forward makes the same numpy calls as `add(matmul(x, weight), bias)`,
     so its values are bitwise theirs. The backward skips inputs that want no
-    gradient, and takes the weight gradient as one 2-D GEMM over the
-    flattened rows.
+    gradient.
     """
     din, dout = weight.data.shape if weight.data.ndim == 2 else (None, None)
-    if x.data.shape[-1:] != (din,) or (bias is not None and bias.data.shape != (dout,)):
-        raise ContractError(f"linear: incompatible shapes {x.shape}, {weight.shape}, "
-                            f"{None if bias is None else bias.shape}")
+    if x.data.shape[-1:] != (din,) or bias.data.shape != (dout,):
+        raise ContractError(f"linear: incompatible shapes {x.shape}, {weight.shape}, {bias.shape}")
     data = np.matmul(x.data, weight.data)
-    if bias is not None:
-        data += bias.data
+    data += bias.data
 
     def bwd(out):
-        g = out.grad
-        if x.requires_grad:
-            _acc(x, np.matmul(g, weight.data.T), "linear")
-        if weight.requires_grad:
-            rows = x.data.reshape(-1, din)
-            _acc(weight, np.matmul(rows.T, g.reshape(-1, dout)), "linear")
-        if bias is not None and bias.requires_grad:
-            _acc(bias, g.reshape(-1, dout).sum(axis=0), "linear")
+        gx = _affine_bwd(x.data, weight, bias, out.grad, x.requires_grad, "linear")
+        if gx is not None:
+            _acc(x, gx, "linear")
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(data, parents, bwd, "linear")
+    return _result(data, (x, weight, bias), bwd, "linear")
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -546,7 +541,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             or w2.data.ndim != 2 or w2.data.shape[0] != dff or b2.data.shape != w2.data.shape[1:]):
         raise ContractError(f"feed_forward: incompatible shapes {x.shape}, {w1.shape}, "
                             f"{b1.shape}, {w2.shape}, {b2.shape}")
-    dout = w2.data.shape[1]
     h = np.matmul(x.data, w1.data)
     h += b1.data
     if _mode.per_op:  # the ReLU would hide a -inf pre-activation
@@ -556,21 +550,14 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     data += b2.data
 
     def bwd(out):
-        g = out.grad
-        if w2.requires_grad:
-            _acc(w2, np.matmul(h.reshape(-1, dff).T, g.reshape(-1, dout)), "feed_forward")
-        if b2.requires_grad:
-            _acc(b2, g.reshape(-1, dout).sum(axis=0), "feed_forward")
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        first = x.requires_grad or w1.requires_grad or b1.requires_grad
+        gh = _affine_bwd(h, w2, b2, out.grad, first, "feed_forward")
+        if gh is None:
             return
-        gh = np.matmul(g, w2.data.T)
         gh *= h > 0.0
-        if x.requires_grad:
-            _acc(x, np.matmul(gh, w1.data.T), "feed_forward")
-        if w1.requires_grad:
-            _acc(w1, np.matmul(x.data.reshape(-1, din).T, gh.reshape(-1, dff)), "feed_forward")
-        if b1.requires_grad:
-            _acc(b1, gh.reshape(-1, dff).sum(axis=0), "feed_forward")
+        gx = _affine_bwd(x.data, w1, b1, gh, x.requires_grad, "feed_forward")
+        if gx is not None:
+            _acc(x, gx, "feed_forward")
 
     return _result(data, (x, w1, b1, w2, b2), bwd, "feed_forward")
 

@@ -110,7 +110,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_leadtail(args: argparse.Namespace) -> int:
     docs = data.load_jsonl(args.corpus)
     corpus = [(split_sentences(d["source"]), d["summary"]) for d in docs]
-    scores = lead_tail_analysis(corpus, args.direction)
+    try:
+        scores = lead_tail_analysis(corpus, args.direction)
+    except ContractError as e:  # an empty summary: the corpus is at fault
+        raise DataError(f"{args.corpus}: {e}") from None
     print(format_report(scores))
     return 0
 

@@ -31,6 +31,10 @@ def load_jsonl(path: str) -> list[dict]:
             raise DataError(
                 f"{path} line {lineno}: expected string fields 'source' and 'summary'"
             )
+        try:  # json.loads makes a lone surrogate from an escape such as "\ud800"
+            (doc["source"] + doc["summary"]).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise DataError(f"{path} line {lineno}: text that is not UTF-8 ({e.reason})") from e
         docs.append(doc)
     if not docs:
         raise DataError(f"empty corpus: {path}")

@@ -5,7 +5,6 @@ One decoder stack serves training, full-prefix decoding and cached beam steps.""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,12 +228,6 @@ class Summarizer:
         """The feed-forward sublayer `prefix` on x, added to x and normed by `norm`."""
         return self._add_norm(x, ad.feed_forward(x, **self._block(prefix)), norm, training)
 
-    def _embedding(self, table: str, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
-        """Rows of embedding `table` for ids (..., N), scaled by sqrt(d_model),
-        plus sinusoid rows pe (N or 1, d), then dropout."""
-        x = ad.embedding_lookup(self.params[table], ids) * math.sqrt(self.cfg.d_model)
-        return self._drop(x + ad.constant(pe), training)
-
     def _provider_context(self, src_ids: np.ndarray, src_mask: np.ndarray | None) -> Tensor:
         """Provider embeddings (..., L, width) of each source, zero on padding."""
         rows = src_ids.reshape(-1, src_ids.shape[-1])
@@ -265,7 +258,7 @@ class Summarizer:
             x = self._drop(ad.linear(ctx, p["ctx_proj.w"], p["ctx_proj.b"]), training)
         else:
             pe = _sinusoid(src_ids.shape[-1], cfg.d_model)
-            x = self._embedding("src_embed", src_ids, pe, training)
+            x = self._drop(ad.embedding(p["src_embed"], src_ids, pe), training)
         for i in range(cfg.enc_layers):
             if i == join:
                 ctx = self._provider_context(src_ids, src_mask)
@@ -281,10 +274,10 @@ class Summarizer:
     def _target_embedding(self, ids: np.ndarray, pe: np.ndarray, training: bool) -> Tensor:
         """Decoder inputs (..., N, d) for target ids (..., N) plus sinusoid rows pe (N or 1, d)."""
         if not self.cfg.decoder_conditioned:
-            return self._embedding("tgt_embed", ids, pe, training)
+            return self._drop(ad.embedding(self.params["tgt_embed"], ids, pe), training)
         table = ad.constant(self.provider.token_table[ids])
         x = ad.linear(table, self.params["dec_proj.w"], self.params["dec_proj.b"])
-        return self._drop(x + ad.constant(pe), training)
+        return self._drop(ad.add(x, ad.constant(pe)), training)
 
     def _cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
         """Each decoder layer's cross-attention keys/values (..., L, d) of memory."""

@@ -87,8 +87,12 @@ class DirectoryLock:
             raise DataError(
                 f"checkpoint directory is locked by another run: {self.path} ({self._holder()})"
             ) from None
-        with os.fdopen(fd, "w") as f:
-            f.write(str(os.getpid()))
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(str(os.getpid()))
+        except BaseException:  # an empty lock would refuse every later run
+            os.unlink(self.path)
+            raise
         return self
 
     def __exit__(self, *exc):

@@ -191,17 +191,20 @@ class TestLossCoreOracle:
 
 
 class TestGradients:
-    def test_take_into_transposed_input(self, rng):
-        # the transposed node's grad is not C-contiguous; the scatter must still land
-        base = ad.parameter(rng.normal(size=(3, 4, 2)))
-        idx = np.array([[0, 2], [3, 3]])
-        r = _proj(rng, (2, 2, 3, 2))
-        r2 = _proj(rng, (4, 3, 2))
+    def test_embedding_into_transposed_table(self, rng):
+        # The transpose branch's backward runs first and leaves the table's
+        # grad laid out like the transposed input, not C-contiguous; the
+        # scatter must still land in it.
+        base = ad.parameter(rng.normal(size=(2, 4)))
+        ids = np.array([[0, 2], [3, 3]])
+        pe = rng.normal(size=(2, 2))
+        r = _proj(rng, (2, 2, 2))
+        r2 = _proj(rng, (2, 4))
 
         def build():
-            t = ad.transpose(base, (1, 0, 2))
-            return ad.add(ad.tensor_sum(ad.mul(ad.take(t, idx), r)),
-                          ad.tensor_sum(ad.mul(t, r2)))
+            t = ad.transpose(base, (1, 0))
+            return ad.add(ad.tensor_sum(ad.mul(ad.transpose(t, (1, 0)), r2)),
+                          ad.tensor_sum(ad.mul(ad.embedding(t, ids, pe), r)))
 
         check_grads(build, {"base": base})
 
@@ -380,7 +383,7 @@ class TestFreedGraph:
     def test_intermediates_keep_no_grad_parents_or_closure(self, rng):
         w = ad.parameter(rng.normal(size=(4, 3)))
         x = ad.constant(rng.normal(size=(5, 4)))
-        h = ad.linear(x, w)
+        h = ad.linear(x, w, ad.constant(rng.normal(size=3)))
         r = ad.relu(h)
         s = ad.softmax(r)
         loss = ad.tensor_sum(ad.mul(s, s))

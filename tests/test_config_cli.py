@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -165,6 +166,14 @@ class TestJsonl:
         with pytest.raises(DataError, match="absent.jsonl"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("key", ["source", "summary"])
+    def test_lone_surrogate_is_data_error_naming_the_line(self, tmp_path, key):
+        p = tmp_path / "c.jsonl"
+        bad = {"source": "a b .", "summary": "a", key: "a \ud800 b ."}
+        save_jsonl(str(p), [{"source": "a b .", "summary": "a"}, bad])  # as the escape \ud800
+        with pytest.raises(DataError, match="c.jsonl line 2: text that is not UTF-8"):
+            load_jsonl(str(p))
+
     def test_non_utf8_file_is_data_error(self, tmp_path):
         p = tmp_path / "latin1.jsonl"
         p.write_bytes('{"source": "caf\xe9", "summary": "a"}\n'.encode("latin-1"))
@@ -296,6 +305,27 @@ class TestTrainer:
             with pytest.raises(DataError, match=f"locked.*pid {os.getpid()} is running"):
                 with DirectoryLock(str(tmp_path)):
                     pass
+
+    def test_failed_pid_write_leaves_no_lock(self, tmp_path, monkeypatch):
+        docs, vocab, cfg = _toy_setup(tmp_path, steps=2)
+        pairs = encode_pairs(docs, vocab, cfg)
+        fdopen = os.fdopen
+
+        def full_disk(fd, *args, **kwargs):  # the lock's pid write finds no space
+            f = fdopen(fd, *args, **kwargs)
+
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            f.write = write
+            return f
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fdopen", full_disk)
+            with pytest.raises(DataError, match="cannot write to checkpoint directory"):
+                Trainer(cfg, vocab, pairs).run()
+        assert not (tmp_path / "ckpt" / "LOCK").exists()
+        assert len(Trainer(cfg, vocab, pairs).run()) == 2  # the next run takes the lock
 
     @pytest.mark.parametrize("text,why", [("", "empty"), ("12ab", "no pid"), ("0", "no pid"), ("²", "no pid")])
     def test_lock_without_a_pid_says_so(self, tmp_path, text, why):
@@ -582,6 +612,32 @@ class TestCliTrainAndUse:
         assert cli.main(["summarize", "--checkpoint", str(ck), "--text", "anything"]) == 3
         err = capsys.readouterr().err
         assert "error[data]" in err and key in err
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate", "leadtail"])
+    def test_lone_surrogate_in_a_corpus_exits_3(self, trained, tmp_path, capsys, command):
+        root = trained[0]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"source": "a \\ud800 b .", "summary": "a"}\n')
+        argv = {
+            "build-vocab": ["--corpus", str(corpus), "--size", "100",
+                            "--out", str(tmp_path / "v.txt")],
+            "train": ["--config", str(root / "run.cfg"), "--corpus", str(corpus),
+                      "--checkpoint-dir", str(tmp_path / "ckpt")],
+            "evaluate": ["--checkpoint", str(root / "ckpt" / "ckpt-10.npz"),
+                         "--test", str(corpus)],
+            "leadtail": ["--corpus", str(corpus), "--direction", "head"],
+        }[command]
+        assert cli.main([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert f"error[data]: {corpus} line 1: text that is not UTF-8" in err
+        assert os.listdir(tmp_path) == ["c.jsonl"]  # no vocab, .tmp or checkpoint directory
+
+    def test_leadtail_empty_summary_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        save_jsonl(str(corpus), [{"source": "a b . c d .", "summary": ""}])
+        assert cli.main(["leadtail", "--corpus", str(corpus), "--direction", "head"]) == 3
+        assert f"error[data]: {corpus}: lead_tail_analysis: empty summary" in (
+            capsys.readouterr().err)
 
     def test_leadtail_head_beats_tail(self, trained, capsys):
         tmp_path, docs, vocab, cfg = trained

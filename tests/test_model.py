@@ -770,13 +770,13 @@ class TestOpCounts:
 
     def test_tape_nodes_of_a_gate_batch(self):
         nodes, _ = self._tape_nodes(*_gate_model())
-        assert nodes == 71  # 79 with a three-op feed-forward, 99 with add and dropout
-        # ops beside each layer norm too
+        assert nodes == 67  # 71 with a three-op embedding, 79 with a three-op feed-forward
+        # too, 99 with add and dropout ops beside each layer norm as well
 
     @pytest.mark.parametrize("overrides,nodes,loss", [
-        ({"integration": "stacking"}, 69, 4.419217669825497),
+        ({"integration": "stacking"}, 67, 4.419217669825497),
         # the conv branch is encoder layer 0 whatever conv_layers says
-        ({"integration": "concatenation", "conv_layers": ()}, 74, 4.1981040276337405),
+        ({"integration": "concatenation", "conv_layers": ()}, 70, 4.1981040276337405),
     ])
     def test_tape_nodes_of_a_conditioned_gate_batch(self, overrides, nodes, loss):
         got_nodes, got_loss = self._tape_nodes(*_gate_model(provider="stub", **overrides))
@@ -796,8 +796,8 @@ class TestOpCounts:
             monkeypatch.setattr(module, "_result",
                                 lambda d, p, b, op: (ops.append(op), result(d, p, b, op))[1])
         state.step(batch[0][1][1:5])
-        assert len(ops) == 45  # 49 with a three-op feed-forward, 55 with an add op beside
-        # each layer norm too
+        assert len(ops) == 43  # 45 with a three-op embedding, 49 with a three-op
+        # feed-forward too, 55 with an add op beside each layer norm as well
 
     def test_finite_checks_per_decoder_step(self, monkeypatch):
         # One check per output (probabilities, attention, the two layers' new

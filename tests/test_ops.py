@@ -87,6 +87,13 @@ def composed_attention(q, k, v, heads, mask=None):
     return merged, weights
 
 
+def composed_embedding(table, ids, pe):
+    """The embedding as the tape ops it replaces: a one-hot matmul gathers the
+    rows, then scale by sqrt(d) and add the position rows."""
+    rows = ad.matmul(C(np.eye(table.shape[0])[ids]), table)
+    return ad.add(ad.scale(rows, math.sqrt(table.shape[1])), C(pe))
+
+
 def naive_band_attention(q, k, v, cfg, key_mask=None):
     """Query by query and slot by slot: (context (..., L, d), weights
     (B, L, H, k_head*w)); slot u*w + o is key i + o - (w-1)/2 in union head
@@ -189,11 +196,15 @@ OPS = [
     OpInfo("relu", ad.relu, [S(N(3, 4)), S(N(2, 5))], lambda a: np.where(a.data > 0, a.data, 0.0)),
     OpInfo("sigmoid", ad.sigmoid, [S(N(3, 4, scale=4.0)), S(N(2, 5))],
            lambda a: 1.0 / (1.0 + np.exp(-a.data)), exact=False),
-    OpInfo("take", ad.take,
-           [S(N(7, 3), idx=np.array([1, 1, 4, 0])), S(N(5, 2, 2), idx=np.array([[0, 4], [3, 3]]))],
-           lambda a, idx: a.data[idx],
-           rejects=((lambda: ad.take(C(N(7, 3)), np.array([7])), ContractError, "out of range"),
-                    (lambda: ad.embedding_lookup(C(N(7, 3)), 2), ContractError, "one axis"))),
+    OpInfo("embedding", ad.embedding,
+           [S(N(7, 3), ids=np.array([1, 1, 4, 0]), pe=N(4, 3)),
+            S(N(5, 4), ids=np.array([[0, 4], [3, 3]]), pe=N(1, 4))],  # a decoding step's pe
+           composed_embedding,
+           rejects=((lambda: ad.embedding(C(N(7, 3)), np.array([7]), N(1, 3)),
+                     ContractError, "out of range"),
+                    (lambda: ad.embedding(C(N(7, 3)), 2, N(1, 3)), ContractError, "one axis"),
+                    (lambda: ad.embedding(C(N(7, 3)), np.array([1, 2]), N(3, 3)),
+                     ContractError, "positions"))),
     OpInfo("scatter_probs", ad.scatter_probs,
            [S(RNG.random((3, 5)) + 0.1, src_ids=np.array([2, 0, 2, 4, 1]), vocab_size=6),
             S(RNG.random((2, 3, 4)), src_ids=np.array([[1, 3, 1, 1], [0, 4, 2, 4]]), vocab_size=5)],
@@ -229,10 +240,10 @@ OPS = [
                ad.add(x, ad.dropout(sub, rate, np.random.default_rng(7), training)), g, b),
            grad_exact=True, label="layer_norm-residual"),
     OpInfo("linear", ad.linear,
-           [S(N(5, 3), N(3, 4), N(4)), S(N(2, 5, 3), N(3, 4)), S(N(2, 2, 5, 3), N(3, 4), N(4)),
+           [S(N(5, 3), N(3, 4), N(4)), S(N(2, 2, 5, 3), N(3, 4), N(4)),
             S(N(2, 5, 3), N(3, 4), N(4), grad=(False, True, True))],
-           lambda x, w, *b: ad.add(ad.matmul(x, w), *b) if b else ad.matmul(x, w),
-           rejects=((lambda: ad.linear(C(N(2, 3)), C(N(4, 2))), ContractError, "linear"),
+           lambda x, w, b: ad.add(ad.matmul(x, w), b),
+           rejects=((lambda: ad.linear(C(N(2, 3)), C(N(4, 2)), C(N(2))), ContractError, "linear"),
                     (lambda: ad.linear(C(N(2, 3)), C(N(3, 2)), C(N(3))), ContractError, "linear"))),
     OpInfo("feed_forward", ad.feed_forward,
            [S(N(*shape), N(3, 6), N(6), N(6, 4), N(4), grad=tuple(k in wants for k in "xWbwc"))

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import make_lead_corpus
+from convsum.config import RunConfig, build_model
+from convsum.data import encode_source, encode_target, iter_texts
+from convsum.decoding import beam_search
 from convsum.errors import ContractError
 from convsum.providers import StubProvider
+from convsum.tokenizer import build_vocab, tokenize
 from convsum.windowing import (
     WindowingConfig,
     coverage_counts,
@@ -162,3 +167,46 @@ def test_context_free_stub_windowed_equals_direct_lookup(window, data):
         assert np.array_equal(got, want)
     else:  # the mean of k >= 3 equal rows may round off by an ulp
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+class TestFullText:
+    """`full_text` keeps a source longer than `max_source_len` whole; a
+    stacking model whose provider window is shorter reads it through the
+    windows `encode_long` stitches, in training and in decoding."""
+
+    DOC = make_lead_corpus(1, seed=4, n_sentences=(8, 8), sentence_len=(7, 7))[0]
+
+    def _setup(self, full_text: bool):
+        vocab = build_vocab(iter_texts([self.DOC]), 200)
+        cfg = RunConfig(
+            seed=3, max_source_len=20, full_text=full_text, d_model=16, enc_layers=1,
+            dec_layers=1, ff_size=32, heads=2, conv_layers=(), integration="stacking",
+            provider="stub", provider_width=12, provider_window=16, window=16, stride=8,
+            warmup=10, beam_size=2, min_length=1, max_length=5,
+        ).validate()
+        return vocab, cfg
+
+    def test_without_it_the_source_is_cut_at_max_source_len(self):
+        vocab, cfg = self._setup(False)
+        src = encode_source(self.DOC["source"], vocab, cfg)
+        assert src.tolist() == tokenize(self.DOC["source"], vocab)[:cfg.max_source_len]
+
+    def test_it_keeps_every_id_through_stitched_windows(self, monkeypatch):
+        vocab, cfg = self._setup(True)
+        src = encode_source(self.DOC["source"], vocab, cfg)
+        assert src.tolist() == tokenize(self.DOC["source"], vocab)
+        assert src.size > 3 * cfg.provider_window > cfg.max_source_len
+        model, opt = build_model(cfg, vocab)
+        windows = []
+        embed = model.provider.context_embed
+        monkeypatch.setattr(model.provider, "context_embed",
+                            lambda ids: (windows.append(len(ids)), embed(ids))[1])
+
+        loss, _ = model.train_step([(src, encode_target(self.DOC["summary"], vocab))], opt)
+        assert np.isfinite(loss) and opt.step == 1
+        assert len(windows) > 1 and max(windows) == cfg.window
+        assert sum(windows) >= src.size  # the windows overlap and cover the source
+        trained = len(windows)
+        ids = beam_search(model, src, cfg.decoding_config())
+        assert 1 <= len(ids) <= cfg.max_length
+        assert windows[trained:] == windows[:trained]  # decoding reads the same windows
