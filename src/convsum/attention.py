@@ -20,9 +20,10 @@ Full attention is three tape ops: the query projection, one fused
 `attention` op (head split as a view, scores, scale, masked softmax, context,
 head merge, with a hand-written backward) and the output projection. Keys and
 values stay (..., Lk, d), so decoding caches them as (B, t, d). A beam step
-of the d=64 gate model runs 43 tape ops, where an eight-op attention, a
+of the d=64 gate model runs 27 tape ops, where an eight-op attention, a
 two-op `linear` (matmul, bias add), a residual add beside each layer norm,
-a three-op feed-forward and a three-op embedding made 115. The fused op, the banded op and
+a three-op feed-forward, a three-op embedding and a 17-op copy head made
+115. The fused op, the banded op, `autodiff.copy_head` and
 `autodiff.softmax` share one masked-softmax forward and backward
 (`autodiff._softmax_fwd`/`_softmax_bwd`); masks reach it as an additive
 0/-inf score bias.

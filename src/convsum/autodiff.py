@@ -201,7 +201,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -----------------------------------------------------------------------------
-# elementwise and linear-algebra ops
+# elementwise and shape ops
 # -----------------------------------------------------------------------------
 
 
@@ -232,40 +232,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _acc(b, _unbroadcast(out.grad * a.data, b.data.shape), "mul")
 
     return _result(data, (a, b), bwd, "mul")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    data = a.data * c
-
-    def bwd(out):
-        _acc(a, out.grad * c, "scale")
-
-    return _result(data, (a,), bwd, "scale")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise ContractError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from e
-
-    def bwd(out):
-        g = out.grad
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _acc(a, _unbroadcast(ga, a.data.shape), "matmul")
-        _acc(b, _unbroadcast(gb, b.data.shape), "matmul")
-
-    return _result(data, (a, b), bwd, "matmul")
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = np.transpose(a.data, axes)
-
-    def bwd(out):
-        _acc(a, np.transpose(out.grad, np.argsort(axes)), "transpose")
-
-    return _result(data, (a,), bwd, "transpose")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -317,19 +283,8 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), bwd, "relu")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # split by sign for overflow-free exp
-    e = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def bwd(out):
-        _acc(a, out.grad * data * (1.0 - data), "sigmoid")
-
-    return _result(data, (a,), bwd, "sigmoid")
-
-
 # -----------------------------------------------------------------------------
-# gathers and scatters
+# fused neural-net ops
 # -----------------------------------------------------------------------------
 
 
@@ -362,38 +317,6 @@ def embedding(table: Tensor, ids: np.ndarray, pe: np.ndarray) -> Tensor:
         kernels.scatter_add_rows(table.grad, ids.ravel(), rows)
 
     return _result(data, (table,), bwd, "embedding")
-
-
-def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
-    """attn (..., T, L) -> (..., T, V) with out[..., t, src_ids[..., j]] += attn[..., t, j].
-
-    src_ids (..., L) has attn's leading axes: each batch row scatters onto
-    its own source tokens. Duplicate source tokens accumulate; row sums are
-    preserved.
-    """
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    shape = attn.data.shape
-    if len(shape) < 2 or src_ids.shape != shape[:-2] + shape[-1:]:
-        raise ContractError("scatter_probs: attn (..., T, L) and src_ids (..., L) required")
-    *lead, T, L = shape
-    if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= vocab_size):
-        raise ContractError("scatter_probs: source id out of vocab range")
-    n = math.prod(lead)
-    data = np.zeros((*lead, T, vocab_size))
-    for rows, cols, w in zip(data.reshape(n, T, vocab_size), src_ids.reshape(n, L),
-                             attn.data.reshape(n, T, L)):
-        kernels.scatter_add_cols(rows, cols, w)
-
-    def bwd(out):
-        gather = np.broadcast_to(src_ids[..., None, :], attn.data.shape)
-        _acc(attn, np.take_along_axis(out.grad, gather, axis=-1), "scatter_probs")
-
-    return _result(data, (attn,), bwd, "scatter_probs")
-
-
-# -----------------------------------------------------------------------------
-# fused neural-net ops
-# -----------------------------------------------------------------------------
 
 
 def _softmax_fwd(s: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -560,6 +483,82 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             _acc(x, gx, "feed_forward")
 
     return _result(data, (x, w1, b1, w2, b2), bwd, "feed_forward")
+
+
+def copy_head(states: Tensor, memory: Tensor, src_ids: np.ndarray, vocab_size: int,
+              wq: Tensor, bq: Tensor, wg: Tensor, bg: Tensor, wgen: Tensor, bgen: Tensor,
+              key_mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The pointer-generator output layer as one op: (mixture node, gate,
+    attention), the last two read-only and without gradient.
+
+    States x (..., T, d) attend over memory (..., L, d) with the query
+    x @ wq + bq, scaled by d**-0.5 and masked by key_mask (..., L). The
+    attention scattered onto src_ids (..., L) (duplicates accumulate) is the
+    copy distribution; the gate sigmoid([x, context] @ wg + bg) (..., T, 1)
+    weighs it against softmax(x @ wgen + bgen), over (..., T, vocab_size).
+    The numpy calls, and the order of the gradients summed into x and memory,
+    are those of the composed ops, so values and gradients are bitwise
+    theirs; of the (..., T, V) arrays only the two distributions are saved.
+    """
+    src_ids = np.asarray(src_ids, dtype=np.int64)
+    x, m = states.data, memory.data
+    if (x.ndim < 2 or m.ndim != x.ndim or m.shape[:-2] != x.shape[:-2]
+            or m.shape[-1] != x.shape[-1] or src_ids.shape != m.shape[:-1]):
+        raise ContractError(f"copy_head: states {states.shape}, memory {memory.shape} and "
+                            f"source ids {src_ids.shape} do not fit")
+    (*lead, T, d), L = x.shape, m.shape[-2]
+    if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= vocab_size):
+        raise ContractError("copy_head: source id out of vocab range")
+    c = d ** -0.5
+    q = np.matmul(x, wq.data)
+    q += bq.data
+    scores = np.matmul(q, np.swapaxes(m, -1, -2))
+    scores *= c
+    bias = None if key_mask is None else np.where(key_mask[..., None, :], 0.0, -np.inf)
+    attn = _softmax_fwd(scores, bias)
+    cat = np.concatenate([x, np.matmul(attn, m)], axis=-1)
+    logit = np.matmul(cat, wg.data)
+    logit += bg.data
+    e = np.exp(-np.abs(logit))  # split by sign for an overflow-free exp
+    gate = np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    n = math.prod(lead)
+    p_copy = np.zeros((*lead, T, vocab_size))
+    for rows, cols, w in zip(p_copy.reshape(n, T, vocab_size), src_ids.reshape(n, L),
+                             attn.reshape(n, T, L)):
+        kernels.scatter_add_cols(rows, cols, w)
+    logits = np.matmul(x, wgen.data)
+    logits += bgen.data
+    if _mode.per_op:  # the sigmoid would hide an infinite logit, the softmax make it NaN
+        for a in (logit, logits):
+            _check_finite("copy_head", a)
+    p_soft = _softmax_fwd(logits)
+    one_minus = 1.0 - gate
+    data = gate * p_copy
+    data += one_minus * p_soft
+    gate.flags.writeable = attn.flags.writeable = False
+
+    def bwd(out):
+        g = out.grad
+        g_logit = np.add.reduce(g * p_copy, axis=-1, keepdims=True)
+        g_logit -= np.add.reduce(g * p_soft, axis=-1, keepdims=True)
+        g_logit *= gate
+        g_logit *= one_minus
+        g_cat = _affine_bwd(cat, wg, bg, g_logit, True, "copy_head")
+        gx, g_ctx = g_cat[..., :d], np.ascontiguousarray(g_cat[..., d:])
+        g_attn = np.take_along_axis(g * gate, np.broadcast_to(src_ids[..., None, :], attn.shape),
+                                    axis=-1)
+        g_attn += np.matmul(g_ctx, np.swapaxes(m, -1, -2))
+        gm = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
+        g_scores = _softmax_bwd(attn, g_attn)
+        g_scores *= c
+        gm += np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
+        gx += _affine_bwd(x, wq, bq, np.matmul(g_scores, m), True, "copy_head")
+        gx += _affine_bwd(x, wgen, bgen, _softmax_bwd(p_soft, g * one_minus), True, "copy_head")
+        _acc(memory, gm, "copy_head")
+        _acc(states, gx, "copy_head")
+
+    node = _result(data, (states, memory, wq, bq, wg, bg, wgen, bgen), bwd, "copy_head")
+    return node, gate, attn
 
 
 def dropout_mask(rate: float, rng: np.random.Generator | None, shape: tuple[int, ...],

@@ -5,6 +5,7 @@ Round-trips are bit-exact (float64 arrays stored losslessly)."""
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,41 +62,42 @@ def load_checkpoint(path: str) -> Checkpoint:
     be float64."""
     try:
         data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    with data:
-        if "__meta__" not in data:
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a lone .npy array
             raise DataError(f"not a checkpoint file: {path}")
-        try:
-            meta = json.loads(str(data["__meta__"]))
-        except ValueError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise DataError(f"checkpoint {path}: meta record is not a JSON object")
-        if meta.get("version") != FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint version {meta.get('version')} in {path}"
-            )
-        missing = [key for key in _META_KEYS if key not in meta]
-        if missing:
-            raise DataError(f"checkpoint {path}: meta record has no {missing}")
-        malformed = [key for key, kind in _META_KEYS.items() if type(meta[key]) is not kind]
-        if not malformed and meta["opt_step"] < 0:
-            malformed = ["opt_step"]
-        if malformed:
-            raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
-        try:
-            vocab = Vocab(meta["vocab"])
-        except ContractError as e:
-            raise DataError(f"checkpoint {path}: meta record has malformed ['vocab']: {e}") from None
-        named = {"param": {}, "m": {}, "v": {}}
-        for key in data.files:
-            kind, _, name = key.partition(":")
-            if kind in named:
-                arr = named[kind][name] = data[key]
-                if arr.dtype != np.float64:
-                    raise DataError(f"checkpoint {path}: array '{key}' has dtype {arr.dtype}, "
-                                    "expected float64")
+        with data:  # members are read, and their CRCs checked, here
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError) as e:
+        raise DataError(f"cannot read checkpoint {path}: {e}") from e
+    if "__meta__" not in arrays:
+        raise DataError(f"not a checkpoint file: {path}")
+    try:
+        meta = json.loads(str(arrays.pop("__meta__")))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path}: meta record is not a JSON object")
+    if meta.get("version") != FORMAT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {meta.get('version')} in {path}")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise DataError(f"checkpoint {path}: meta record has no {missing}")
+    malformed = [key for key, kind in _META_KEYS.items() if type(meta[key]) is not kind]
+    if not malformed and meta["opt_step"] < 0:
+        malformed = ["opt_step"]
+    if malformed:
+        raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
+    try:
+        vocab = Vocab(meta["vocab"])
+    except ContractError as e:
+        raise DataError(f"checkpoint {path}: meta record has malformed ['vocab']: {e}") from None
+    named = {"param": {}, "m": {}, "v": {}}
+    for key, arr in arrays.items():
+        kind, _, name = key.partition(":")
+        if kind in named:
+            named[kind][name] = arr
+            if arr.dtype != np.float64:
+                raise DataError(f"checkpoint {path}: array '{key}' has dtype {arr.dtype}, "
+                                "expected float64")
     return Checkpoint(
         run_config=RunConfig.from_dict(meta["run_config"]).validate(),
         vocab=vocab,

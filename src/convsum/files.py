@@ -19,8 +19,9 @@ def read_text(path: str, what: str, error: Callable[[str], Exception]) -> str:
 
 def write_atomically(path: str, write: Callable, mode: str = "w") -> None:
     """Replace `path` by what `write(f)` puts in `path + ".tmp"` (UTF-8 text,
-    or bytes for mode "wb"), synced, then renamed over `path`: a crash leaves
-    the old file or the new one, and a failure removes the temporary file."""
+    or bytes for mode "wb"), synced, then renamed over `path`, and the
+    directory synced so the rename outlives a crash too: a crash leaves the
+    old file or the new one, and a failure removes the temporary file."""
     tmp = path + ".tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
@@ -28,6 +29,11 @@ def write_atomically(path: str, write: Callable, mode: str = "w") -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

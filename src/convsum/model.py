@@ -330,35 +330,21 @@ class Summarizer:
         src_ids: np.ndarray,
         src_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor, Tensor]:
-        """Mix a copy distribution over source tokens with the generator softmax.
+        """Mix a copy distribution over source tokens with the generator
+        softmax, as one tape op (`autodiff.copy_head`).
 
         decoder_states (..., T, d) over memory (..., L, d) and src_ids (..., L);
         returns (gate (..., T, 1), mixed distribution (..., T, V), copy
-        attention (..., T, L)). The gate multiplies the copy side; duplicate
-        source tokens accumulate their attention mass onto the shared
-        vocabulary id. src_mask (..., L) keeps the copy attention of a padded
-        batch off its padding.
+        attention (..., T, L)), gate and attention as constants. The gate
+        multiplies the copy side; duplicate source tokens accumulate their
+        attention mass onto the shared vocabulary id. src_mask (..., L) keeps
+        the copy attention of a padded batch off its padding.
         """
-        src_ids = np.asarray(src_ids, dtype=np.int64)
-        if memory.shape[-2] != src_ids.shape[-1]:
-            raise ContractError("pointer_generator: memory length must match source ids")
         p = self.params
-        d = self.cfg.d_model
-        n = memory.data.ndim
-        q = ad.linear(decoder_states, p["copy.wq"], p["copy.bq"])
-        scores = ad.scale(ad.matmul(q, ad.transpose(memory, (*range(n - 2), n - 1, n - 2))),
-                          d ** -0.5)
-        attn = ad.softmax(scores, None if src_mask is None else src_mask[..., None, :])
-        context = ad.matmul(attn, memory)
-        gate = ad.sigmoid(
-            ad.linear(ad.concat([decoder_states, context], axis=-1),
-                      p["copy.gate.w"], p["copy.gate.b"])
-        )
-        p_copy = ad.scatter_probs(attn, src_ids, len(self.vocab))
-        p_soft = ad.softmax(ad.linear(decoder_states, p["gen.w"], p["gen.b"]))
-        one_minus = ad.add(ad.scale(gate, -1.0), ad.constant(1.0))
-        mixed = ad.add(ad.mul(gate, p_copy), ad.mul(one_minus, p_soft))
-        return gate, mixed, attn
+        mixed, gate, attn = ad.copy_head(decoder_states, memory, src_ids, len(self.vocab),
+                                         p["copy.wq"], p["copy.bq"], p["copy.gate.w"],
+                                         p["copy.gate.b"], p["gen.w"], p["gen.b"], src_mask)
+        return Tensor(gate), mixed, Tensor(attn)
 
     def _output_head(
         self,

@@ -1,12 +1,19 @@
 """Shared test utilities: finite-difference gradient checking, synthetic
 corpora with a lead bias (summary = first sentence), and the oracles that
-only tests run."""
+only tests run, among them the generic tape ops that the fused ops replaced
+(`scale`, `matmul`, `transpose`, `sigmoid`, `scatter_probs`), from which
+`tests/test_ops.py` composes its references."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
+
+from convsum import kernels
+from convsum.autodiff import Tensor, _acc, _result, _unbroadcast
+from convsum.errors import ContractError
 
 WORD_POOL = [
     "alpine", "basket", "candle", "direct", "ember", "fabric", "garden", "hollow",
@@ -38,6 +45,84 @@ def make_lead_corpus(
             sentences.append(" ".join(words) + " .")
         docs.append({"source": " ".join(sentences), "summary": sentences[0]})
     return docs
+
+
+# --- generic tape ops ---------------------------------------------------------
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    data = a.data * c
+
+    def bwd(out):
+        _acc(a, out.grad * c, "scale")
+
+    return _result(data, (a,), bwd, "scale")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError as e:
+        raise ContractError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from e
+
+    def bwd(out):
+        g = out.grad
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        _acc(a, _unbroadcast(ga, a.data.shape), "matmul")
+        _acc(b, _unbroadcast(gb, b.data.shape), "matmul")
+
+    return _result(data, (a, b), bwd, "matmul")
+
+
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    data = np.transpose(a.data, axes)
+
+    def bwd(out):
+        _acc(a, np.transpose(out.grad, np.argsort(axes)), "transpose")
+
+    return _result(data, (a,), bwd, "transpose")
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    # split by sign for overflow-free exp
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def bwd(out):
+        _acc(a, out.grad * data * (1.0 - data), "sigmoid")
+
+    return _result(data, (a,), bwd, "sigmoid")
+
+
+def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
+    """attn (..., T, L) -> (..., T, V) with out[..., t, src_ids[..., j]] += attn[..., t, j].
+
+    src_ids (..., L) has attn's leading axes: each batch row scatters onto
+    its own source tokens. Duplicate source tokens accumulate; row sums are
+    preserved.
+    """
+    src_ids = np.asarray(src_ids, dtype=np.int64)
+    shape = attn.data.shape
+    if len(shape) < 2 or src_ids.shape != shape[:-2] + shape[-1:]:
+        raise ContractError("scatter_probs: attn (..., T, L) and src_ids (..., L) required")
+    *lead, T, L = shape
+    if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= vocab_size):
+        raise ContractError("scatter_probs: source id out of vocab range")
+    n = math.prod(lead)
+    data = np.zeros((*lead, T, vocab_size))
+    for rows, cols, w in zip(data.reshape(n, T, vocab_size), src_ids.reshape(n, L),
+                             attn.data.reshape(n, T, L)):
+        kernels.scatter_add_cols(rows, cols, w)
+
+    def bwd(out):
+        gather = np.broadcast_to(src_ids[..., None, :], attn.data.shape)
+        _acc(attn, np.take_along_axis(out.grad, gather, axis=-1), "scatter_probs")
+
+    return _result(data, (attn,), bwd, "scatter_probs")
+
+
+# --- gradient checks ----------------------------------------------------------
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import attention_params, closure_arrays, head_union_indices
+from _helpers import attention_params, closure_arrays, head_union_indices, matmul
 from convsum import attention
 from convsum import autodiff as ad
 from convsum.attention import (
@@ -193,7 +193,7 @@ class TestFusedAttentionOp:
         got, w = multi_head_attention(x, x, p, 4, mask)
 
         def lin(t, name):
-            return ad.add(ad.matmul(t, p["w" + name]), p["b" + name])
+            return ad.add(matmul(t, p["w" + name]), p["b" + name])
 
         ctx, want_w = composed_attention(lin(x, "q"), lin(x, "k"), lin(x, "v"), 4, mask)
         assert np.array_equal(got.data, lin(ctx, "o").data)

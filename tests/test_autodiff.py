@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _helpers import check_grads, closure_arrays
+from _helpers import check_grads, closure_arrays, scale, transpose
 from convsum import autodiff as ad
 from convsum.errors import ContractError, NonFiniteError
 
@@ -31,7 +31,7 @@ class TestBasics:
         with pytest.raises(ContractError, match="consumed"):
             ad.backward(loss)
         with pytest.raises(ContractError, match="consumed"):
-            ad.backward(ad.tensor_sum(ad.scale(sq, 2.0)))  # reaches a consumed node
+            ad.backward(ad.tensor_sum(scale(sq, 2.0)))  # reaches a consumed node
         assert np.array_equal(x.grad, [2.0, 4.0, 6.0])  # nothing accumulated twice
 
     def test_backward_requires_scalar(self):
@@ -154,7 +154,7 @@ class TestLossCoreOracle:
     def _run(self, loss_fn, x, ids, s, up):
         leaf = ad.parameter(x)
         loss = loss_fn(leaf, ids, s, pad_id=self.PAD)
-        ad.backward(ad.scale(loss, up))  # the loss's upstream gradient is `up`
+        ad.backward(scale(loss, up))  # the loss's upstream gradient is `up`
         return loss.data, leaf.grad
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.1])
@@ -202,8 +202,8 @@ class TestGradients:
         r2 = _proj(rng, (2, 4))
 
         def build():
-            t = ad.transpose(base, (1, 0))
-            return ad.add(ad.tensor_sum(ad.mul(ad.transpose(t, (1, 0)), r2)),
+            t = transpose(base, (1, 0))
+            return ad.add(ad.tensor_sum(ad.mul(transpose(t, (1, 0)), r2)),
                           ad.tensor_sum(ad.mul(ad.embedding(t, ids, pe), r)))
 
         check_grads(build, {"base": base})
@@ -281,7 +281,7 @@ class TestCheckedStep:
 
         def step():
             calls.append(ad._mode.per_op)
-            return ad.softmax(ad.scale(x, 2.0))  # inf - inf: NaN from softmax
+            return ad.softmax(scale(x, 2.0))  # inf - inf: NaN from softmax
 
         with warnings.catch_warnings():  # the deferred pass prints no RuntimeWarning
             warnings.simplefilter("error")
@@ -295,7 +295,7 @@ class TestCheckedStep:
         x = ad.parameter([[-np.inf, -np.inf]])
 
         def step():
-            return ad.softmax(ad.scale(x, 1.0), mask=np.array([[True, True]]))
+            return ad.softmax(scale(x, 1.0), mask=np.array([[True, True]]))
 
         with pytest.raises(NonFiniteError, match="'scale'"):
             ad.checked_step(step, lambda t: (t.data,))

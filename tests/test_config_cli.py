@@ -2,8 +2,10 @@ import errno
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import zipfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -612,6 +614,47 @@ class TestCliTrainAndUse:
         assert cli.main(["summarize", "--checkpoint", str(ck), "--text", "anything"]) == 3
         err = capsys.readouterr().err
         assert "error[data]" in err and key in err
+
+    @staticmethod
+    def _corrupted(trained, tmp_path, damage) -> Path:
+        """A copy of the trained run's checkpoint with one byte of an array's
+        data flipped, or cut to half its length; or a lone .npy array."""
+        saved = trained[0] / "ckpt" / "ckpt-10.npz"
+        raw = bytearray(saved.read_bytes())
+        ck = tmp_path / "corrupted.npz"
+        if damage == "flipped-byte":
+            with zipfile.ZipFile(saved) as z:
+                info = z.getinfo("param:gen.w.npy")
+            # a local header is 30 bytes, then the member's name and extra field
+            name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+            raw[info.header_offset + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+        elif damage == "truncated":
+            raw = raw[:len(raw) // 2]
+        else:
+            with open(ck, "wb") as f:
+                np.save(f, np.zeros(3))
+            return ck
+        ck.write_bytes(bytes(raw))
+        return ck
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate", "train-resume"])
+    @pytest.mark.parametrize("damage,named", [
+        ("flipped-byte", "cannot read checkpoint {}: Bad CRC-32"),
+        ("truncated", "cannot read checkpoint {}: File is not a zip file"),
+        ("lone-array", "not a checkpoint file: {}"),
+    ], ids=["flipped-byte", "truncated", "lone-array"])
+    def test_corrupted_checkpoint_exits_3(self, trained, tmp_path, capsys, command, damage,
+                                          named):
+        root = trained[0]
+        ck = self._corrupted(trained, tmp_path, damage)
+        argv = {
+            "summarize": ["summarize", "--checkpoint", str(ck), "--text", "anything"],
+            "evaluate": ["evaluate", "--checkpoint", str(ck), "--test", str(root / "train.jsonl")],
+            "train-resume": ["train", "--config", str(root / "run.cfg"), "--resume", str(ck),
+                             "--checkpoint-dir", str(tmp_path / "ckpt")],
+        }[command]
+        assert cli.main(argv) == 3
+        assert "error[data]: " + named.format(ck) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate", "leadtail"])
     def test_lone_surrogate_in_a_corpus_exits_3(self, trained, tmp_path, capsys, command):

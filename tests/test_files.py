@@ -13,6 +13,7 @@ from __future__ import annotations
 import errno
 import os
 import re
+import stat
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from convsum import cli, data
 from convsum.config import RunConfig, load_config
 from convsum.data import encode_pairs, iter_texts, load_jsonl
 from convsum.errors import ConfigError, DataError
+from convsum.files import write_atomically
 from convsum.tokenizer import RESERVED, Vocab, build_vocab
 from convsum.trainer import DirectoryLock, Trainer, _truncate_log
 
@@ -198,3 +200,18 @@ def test_failed_log_rewrite_leaves_the_old_log_and_no_tmp(tmp_path, monkeypatch)
     with pytest.raises(OSError, match="No space left"):
         _truncate_log(str(path), 1)
     assert path.read_text() == "1\tx\ty\n2\tx\ty\n" and os.listdir(tmp_path) == ["loss.tsv"]
+
+
+def test_write_atomically_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    events, fsync, replace = [], os.fsync, os.replace
+
+    def spy_fsync(fd):  # what was synced: a directory or not, and its inode
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", lambda a, b: (events.append(("replace",)), replace(a, b)))
+    write_atomically(str(tmp_path / "f.txt"), lambda f: f.write("x"))
+    assert [e[:2] for e in events] == [("fsync", False), ("replace",), ("fsync", True)]
+    assert events[-1][2] == os.stat(tmp_path).st_ino and (tmp_path / "f.txt").read_text() == "x"

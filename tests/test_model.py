@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,17 @@ class TestPointerGenerator:
         soft /= soft.sum(-1, keepdims=True)
         assert np.abs(mixed.data - (gate * copy + (1 - gate) * soft)).max() < 1e-15
         assert np.isclose(0.3 * 0.5 + 0.7 * 0.1, 0.22)
+
+    @pytest.mark.parametrize("bias", ["copy.gate.b", "gen.b"])
+    def test_infinite_logit_is_named_before_it_is_hidden(self, vocab, rng, bias):
+        # the sigmoid alone would make the gate 1.0, the softmax alone would
+        # make NaN and warn about it
+        m, states, memory, src = self._setup(vocab, rng)
+        m.params[bias].data[0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="op 'copy_head'"):
+                m.pointer_generator(states, memory, src)
 
     def test_memory_length_mismatch(self, vocab, rng):
         m, states, memory, src = self._setup(vocab, rng)
@@ -770,13 +782,14 @@ class TestOpCounts:
 
     def test_tape_nodes_of_a_gate_batch(self):
         nodes, _ = self._tape_nodes(*_gate_model())
-        assert nodes == 67  # 71 with a three-op embedding, 79 with a three-op feed-forward
-        # too, 99 with add and dropout ops beside each layer norm as well
+        assert nodes == 51  # 67 with a 17-op copy head, 71 with a three-op embedding too,
+        # 79 with a three-op feed-forward too, 99 with add and dropout ops beside
+        # each layer norm as well
 
     @pytest.mark.parametrize("overrides,nodes,loss", [
-        ({"integration": "stacking"}, 67, 4.419217669825497),
+        ({"integration": "stacking"}, 51, 4.419217669825497),
         # the conv branch is encoder layer 0 whatever conv_layers says
-        ({"integration": "concatenation", "conv_layers": ()}, 70, 4.1981040276337405),
+        ({"integration": "concatenation", "conv_layers": ()}, 54, 4.1981040276337405),
     ])
     def test_tape_nodes_of_a_conditioned_gate_batch(self, overrides, nodes, loss):
         got_nodes, got_loss = self._tape_nodes(*_gate_model(provider="stub", **overrides))
@@ -796,8 +809,9 @@ class TestOpCounts:
             monkeypatch.setattr(module, "_result",
                                 lambda d, p, b, op: (ops.append(op), result(d, p, b, op))[1])
         state.step(batch[0][1][1:5])
-        assert len(ops) == 43  # 45 with a three-op embedding, 49 with a three-op
-        # feed-forward too, 55 with an add op beside each layer norm as well
+        assert len(ops) == 27  # 43 with a 17-op copy head, 45 with a three-op embedding
+        # too, 49 with a three-op feed-forward too, 55 with an add op beside each layer
+        # norm as well
 
     def test_finite_checks_per_decoder_step(self, monkeypatch):
         # One check per output (probabilities, attention, the two layers' new
@@ -907,7 +921,7 @@ class TestDeferredChecks:
     def test_inf_in_output_bias_fails_beam_search_naming_op(self):
         model, batch = _gate_model()
         model.params["gen.b"].data[7] = np.inf
-        with pytest.raises(NonFiniteError, match="'linear'"):
+        with pytest.raises(NonFiniteError, match="'copy_head'"):
             beam_search(model, batch[0][0], DecodingConfig(4, 5, 5))
 
     def test_failed_decoder_step_leaves_state_unchanged(self):

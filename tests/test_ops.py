@@ -3,7 +3,9 @@
 An entry names the op its node records (`Tensor.op`), calls the op on tensors
 made from each of its samples, and gives a reference: the tape ops it fuses,
 composed as before, or plain numpy. `test_every_op_a_run_makes_has_an_entry`
-fails on an op that a train or beam step makes and the table lacks.
+fails on an op that a train or beam step makes and the table lacks. The
+generic ops that only references compose (`scale`, `matmul`, `transpose`,
+`sigmoid`, `scatter_probs`) live in `tests/_helpers.py` and keep their entries.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from _helpers import closure_arrays, grad_rel_err, numeric_grad
+from _helpers import (closure_arrays, grad_rel_err, matmul, numeric_grad, scale, scatter_probs,
+                      sigmoid, transpose)
 from convsum import autodiff as ad
 from convsum.attention import AttentionConfig, _attention, _band_attention
 from convsum.decoding import DecodingConfig, beam_search
@@ -72,26 +75,41 @@ def composed_attention(q, k, v, heads, mask=None):
     def split(x):  # (..., L, d) -> (..., H, L, d/H)
         *lead, L, d = x.shape
         n = len(lead)
-        return ad.transpose(ad.reshape(x, (*lead, L, heads, d // heads)),
-                            (*range(n), n + 1, n, n + 2))
+        return transpose(ad.reshape(x, (*lead, L, heads, d // heads)),
+                         (*range(n), n + 1, n, n + 2))
 
     qh, kh, vh = split(q), split(k), split(v)
     n = kh.data.ndim
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (*range(n - 2), n - 1, n - 2))),
-                      qh.shape[-1] ** -0.5)
+    scores = scale(matmul(qh, transpose(kh, (*range(n - 2), n - 1, n - 2))), qh.shape[-1] ** -0.5)
     weights = ad.softmax(scores, mask)
-    ctx = ad.matmul(weights, vh)
+    ctx = matmul(weights, vh)
     *lead, _, L, dk = ctx.shape
     m = len(lead)
-    merged = ad.reshape(ad.transpose(ctx, (*range(m), m + 1, m, m + 2)), (*lead, L, heads * dk))
+    merged = ad.reshape(transpose(ctx, (*range(m), m + 1, m, m + 2)), (*lead, L, heads * dk))
     return merged, weights
 
 
 def composed_embedding(table, ids, pe):
     """The embedding as the tape ops it replaces: a one-hot matmul gathers the
     rows, then scale by sqrt(d) and add the position rows."""
-    rows = ad.matmul(C(np.eye(table.shape[0])[ids]), table)
-    return ad.add(ad.scale(rows, math.sqrt(table.shape[1])), C(pe))
+    rows = matmul(C(np.eye(table.shape[0])[ids]), table)
+    return ad.add(scale(rows, math.sqrt(table.shape[1])), C(pe))
+
+
+def composed_copy_head(x, m, wq, bq, wg, bg, wgen, bgen, src_ids, vocab_size, key_mask=None):
+    """The copy head as the tape ops it replaces: pointer scores over memory,
+    their masked softmax, the context, the gate, the scatter onto the source
+    ids and the gated mixture with the generator softmax. Returns (mixture,
+    gate, attention)."""
+    n = m.data.ndim
+    q = ad.linear(x, wq, bq)
+    scores = scale(matmul(q, transpose(m, (*range(n - 2), n - 1, n - 2))), x.shape[-1] ** -0.5)
+    attn = ad.softmax(scores, None if key_mask is None else key_mask[..., None, :])
+    gate = sigmoid(ad.linear(ad.concat([x, matmul(attn, m)], axis=-1), wg, bg))
+    p_copy = scatter_probs(attn, src_ids, vocab_size)
+    p_soft = ad.softmax(ad.linear(x, wgen, bgen))
+    one_minus = ad.add(scale(gate, -1.0), C(1.0))
+    return ad.add(ad.mul(gate, p_copy), ad.mul(one_minus, p_soft)), gate, attn
 
 
 def naive_band_attention(q, k, v, cfg, key_mask=None):
@@ -167,20 +185,22 @@ def _band_cfg(heads, token_kernel, head_kernel, circular=False):
 
 _BROADCAST = [S(N(3, 4), N(4)), S(N(2, 1, 3), N(4, 3)), S(N(3, 4), N(3, 4), grad=(True, False))]
 _PROBS = np_softmax(C(N(4, 6)))
+# the copy head's wq, bq, wg, bg, wgen and bgen at d=4 over a 6-token vocabulary
+_COPY = (N(4, 4), N(4), N(8, 1), N(1), N(4, 6), N(6))
 
 OPS = [
     OpInfo("add", ad.add, _BROADCAST, lambda a, b: a.data + b.data,
            rejects=((lambda: ad.add(C(N(2, 3)), C(N(4))), ContractError, "add"),)),
     OpInfo("mul", ad.mul, _BROADCAST, lambda a, b: a.data * b.data,
            rejects=((lambda: ad.mul(C(N(2, 3)), C(N(4))), ContractError, "mul"),)),
-    OpInfo("scale", ad.scale, [S(N(3, 4), c=-1.5), S(N(2, 3), c=0.5)],
+    OpInfo("scale", scale, [S(N(3, 4), c=-1.5), S(N(2, 3), c=0.5)],
            lambda a, c: ad.mul(a, C(c)), grad_exact=True),
-    OpInfo("matmul", ad.matmul,
+    OpInfo("matmul", matmul,
            [S(N(3, 4), N(4, 5)), S(N(2, 3, 4), N(2, 4, 5)), S(N(2, 1, 3, 4), N(2, 3, 4, 5)),
             S(N(3, 4), N(4, 5), grad=(True, False))],
            lambda a, b: np.matmul(a.data, b.data),
-           rejects=((lambda: ad.matmul(C(N(2, 3)), C(N(2, 3))), ContractError, "matmul"),)),
-    OpInfo("transpose", ad.transpose, [S(N(2, 3, 4), axes=(2, 0, 1)), S(N(3, 4), axes=(1, 0))],
+           rejects=((lambda: matmul(C(N(2, 3)), C(N(2, 3))), ContractError, "matmul"),)),
+    OpInfo("transpose", transpose, [S(N(2, 3, 4), axes=(2, 0, 1)), S(N(3, 4), axes=(1, 0))],
            lambda a, axes: np.transpose(a.data, axes)),
     OpInfo("reshape", ad.reshape, [S(N(2, 6), shape=(3, 4)), S(N(2, 3, 4), shape=(4, -1))],
            lambda a, shape: a.data.reshape(shape),
@@ -194,7 +214,7 @@ OPS = [
            [S(N(3, 4)), S(N(2, 3, 4), axis=1), S(N(2, 3, 4), axis=(0, 2), keepdims=True)],
            lambda a, **kw: a.data.sum(**kw)),
     OpInfo("relu", ad.relu, [S(N(3, 4)), S(N(2, 5))], lambda a: np.where(a.data > 0, a.data, 0.0)),
-    OpInfo("sigmoid", ad.sigmoid, [S(N(3, 4, scale=4.0)), S(N(2, 5))],
+    OpInfo("sigmoid", sigmoid, [S(N(3, 4, scale=4.0)), S(N(2, 5))],
            lambda a: 1.0 / (1.0 + np.exp(-a.data)), exact=False),
     OpInfo("embedding", ad.embedding,
            [S(N(7, 3), ids=np.array([1, 1, 4, 0]), pe=N(4, 3)),
@@ -205,14 +225,32 @@ OPS = [
                     (lambda: ad.embedding(C(N(7, 3)), 2, N(1, 3)), ContractError, "one axis"),
                     (lambda: ad.embedding(C(N(7, 3)), np.array([1, 2]), N(3, 3)),
                      ContractError, "positions"))),
-    OpInfo("scatter_probs", ad.scatter_probs,
+    OpInfo("scatter_probs", scatter_probs,
            [S(RNG.random((3, 5)) + 0.1, src_ids=np.array([2, 0, 2, 4, 1]), vocab_size=6),
             S(RNG.random((2, 3, 4)), src_ids=np.array([[1, 3, 1, 1], [0, 4, 2, 4]]), vocab_size=5)],
            np_scatter,
-           rejects=((lambda: ad.scatter_probs(C(N(2, 3)), np.array([0, 1, 6]), 6),
+           rejects=((lambda: scatter_probs(C(N(2, 3)), np.array([0, 1, 6]), 6),
                      ContractError, "vocab range"),
-                    (lambda: ad.scatter_probs(C(N(2, 3)), np.array([0, 1]), 6),
+                    (lambda: scatter_probs(C(N(2, 3)), np.array([0, 1]), 6),
                      ContractError, "required"))),
+    OpInfo("copy_head",
+           lambda x, m, wq, bq, wg, bg, wgen, bgen, src_ids, vocab_size, key_mask=None:
+           ad.copy_head(x, m, src_ids, vocab_size, wq, bq, wg, bg, wgen, bgen, key_mask),
+           [S(N(2, 3, 4), N(2, 5, 4), *_COPY, vocab_size=6,  # a padded batch
+              src_ids=np.array([[1, 3, 1, 0, 5], [2, 4, 0, 0, 0]]),
+              key_mask=np.arange(5) < np.array([[5], [2]])),
+            S(N(2, 3, 4), N(2, 4, 4), *_COPY, vocab_size=6,  # duplicate source ids
+              src_ids=np.array([[2, 2, 5, 2], [0, 3, 0, 3]])),
+            S(N(3, 4), N(5, 4), *_COPY, vocab_size=6,  # a decoding step's beam rows
+              src_ids=np.array([1, 4, 1, 3, 2]), grad=(True, False, *[True] * 4, False, True)),
+            *(S(N(2, 4), N(3, 4), *_COPY[:2], np.zeros((8, 1)), [logit], *_COPY[4:],
+                vocab_size=6, src_ids=np.array([5, 0, 5]))  # a saturated gate
+              for logit in (800.0, -800.0))],
+           composed_copy_head, grad_exact=True,
+           rejects=((lambda: ad.copy_head(C(N(3, 4)), C(N(5, 4)), np.array([1, 2]), 6,
+                                          *map(C, _COPY)), ContractError, "do not fit"),
+                    (lambda: ad.copy_head(C(N(3, 4)), C(N(2, 4)), np.array([1, 6]), 6,
+                                          *map(C, _COPY)), ContractError, "vocab range"))),
     OpInfo("softmax", ad.softmax,
            [S(N(4, 6)), S(N(4, 6), mask=np.ones((4, 6), bool)),  # all valid; row 1 one valid
             S(N(4, 6), mask=_keys(4, 6) & (np.arange(4)[:, None] != 1) | (np.arange(6) == 0)),
@@ -242,7 +280,7 @@ OPS = [
     OpInfo("linear", ad.linear,
            [S(N(5, 3), N(3, 4), N(4)), S(N(2, 2, 5, 3), N(3, 4), N(4)),
             S(N(2, 5, 3), N(3, 4), N(4), grad=(False, True, True))],
-           lambda x, w, b: ad.add(ad.matmul(x, w), b),
+           lambda x, w, b: ad.add(matmul(x, w), b),
            rejects=((lambda: ad.linear(C(N(2, 3)), C(N(4, 2)), C(N(2))), ContractError, "linear"),
                     (lambda: ad.linear(C(N(2, 3)), C(N(3, 2)), C(N(3))), ContractError, "linear"))),
     OpInfo("feed_forward", ad.feed_forward,
