@@ -45,11 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _acc, _result, _softmax_bwd, _softmax_fwd, _unbroadcast, linear
+from .autodiff import (Tensor, _acc, _halves, _linear_fits, _linear_node, _parallel,
+                       _result, _softmax_bwd, _softmax_fwd, _unbroadcast, linear)
 from .errors import ContractError
 from .optim import Init, linear_init
 
@@ -106,6 +108,22 @@ def _merged(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*lead, L, H * dk)
 
 
+def _head_groups(kernel: Callable, heads: int, work: float,
+                 shapes: Callable[[], list[tuple[int, ...]]]) -> Sequence[np.ndarray]:
+    """The arrays `kernel(h, *outs)` makes for the heads `a[h]` of head-split
+    (..., H, L, .) arrays a. Where `_parallel` would use the worker for
+    `work`, two head groups run on both cores, each writing its heads of
+    buffers of `shapes()` allocated here, and those are returned; otherwise
+    one call over all heads (h = ...) returns the arrays it made."""
+    groups = _halves(heads, work)
+    if len(groups) == 1:
+        return kernel(...)
+    bufs = [np.empty(shape) for shape in shapes()]
+    _parallel([lambda h=(..., g, slice(None), slice(None)): kernel(h, *(b[h] for b in bufs))
+               for g in groups], work)
+    return bufs
+
+
 def _attention(
     q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
@@ -114,53 +132,85 @@ def _attention(
 
     Heads are views of the inputs; scores, scale, masked softmax and context
     run inside the op, with the numpy calls of the composed ops, so the
-    values are bitwise theirs. bias is an additive 0/-inf score term
-    broadcastable to (..., H, Lq, Lk). Returns (context (..., Lq, d), weights
-    (..., H, Lq, Lk)), the weights a read-only constant with no gradient of
-    their own.
+    values are bitwise theirs. bias is an additive 0/-inf score term that
+    broadcasts onto the scores (..., H, Lq, Lk). Returns (context (..., Lq,
+    d), weights (..., H, Lq, Lk)), the weights a read-only constant with no
+    gradient of their own.
 
     The op saves no weights: its backward recomputes them from the head
     views and the bias with the same calls, so they are bitwise the
     forward's, and an (H, Lq, Lk) array lives only while a caller holds
-    the returned weights or the backward runs.
+    the returned weights or the backward runs. numpy makes one BLAS call per
+    head, so two head groups make exactly those calls; at sizes where it
+    pays, forward and backward run as two head groups on both cores
+    (`_head_groups`).
     """
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
-    c = qh.shape[-1] ** -0.5
+    (Lq, dk), Lk = qh.shape[-2:], kh.shape[-2]
+    c, flops = dk ** -0.5, qh.size * Lk  # multiply-adds of one product over all heads
+    per_head = bias is not None and bias.ndim > 2 and bias.shape[-3] > 1
 
-    def softmax_weights() -> np.ndarray:
-        s = np.matmul(qh, kh.swapaxes(-1, -2))
+    def lead() -> tuple[int, ...]:  # of the scores, and of every buffer a head group writes
+        return np.broadcast_shapes(qh.shape[:-2], kh.shape[:-2])
+
+    def weights_into(h, out: np.ndarray | None = None) -> np.ndarray:
+        s = np.matmul(qh[h], kh[h].swapaxes(-1, -2), out=out)
         s *= c
-        return _softmax_fwd(s, bias)
+        return _softmax_fwd(s, bias[h] if per_head else bias)
 
-    weights = softmax_weights()
+    def forward(h, w=None, ctx=None):  # heads h: weights and context
+        w = weights_into(h, w)
+        return w, np.matmul(w, vh[h], out=ctx)
+
+    weights, ctx = _head_groups(forward, heads, 2 * flops,
+                                lambda: [(*lead(), Lq, Lk), (*lead(), Lq, dk)])
     weights.flags.writeable = False
-    data = _merged(np.matmul(weights, vh))
+    data = _merged(ctx)
 
     def bwd(out):
         gh = _heads(out.grad, heads)
-        weights = softmax_weights()
-        gs = _softmax_bwd(weights, np.matmul(gh, vh.swapaxes(-1, -2)))
-        gs *= c
-        if q.requires_grad:
-            _acc(q, _merged(_unbroadcast(np.matmul(gs, kh), qh.shape)), "attention")
-        if k.requires_grad:
-            gk = np.matmul(gs.swapaxes(-1, -2), qh)
-            _acc(k, _merged(_unbroadcast(gk, kh.shape)), "attention")
-        if v.requires_grad:
-            gv = np.matmul(weights.swapaxes(-1, -2), gh)
-            _acc(v, _merged(_unbroadcast(gv, vh.shape)), "attention")
+
+        def score_grads(h, s=None, gs=None, scratch=None):  # heads h: weights, their grad
+            w = weights_into(h, s)
+            g = np.matmul(gh[h], vh[h].swapaxes(-1, -2), out=gs)
+            _softmax_bwd(w, g, scratch)
+            g *= c
+            return w, g, scratch
+
+        w, g, scratch = _head_groups(score_grads, heads, 5 * flops, lambda: [(*lead(), Lq, Lk)] * 3)
+        del scratch  # freed before the input gradients are made: peak memory as inline
+        # each wanted input's gradient: the product of two head-split factors
+        wanted = [(t, th, a, b) for t, th, a, b in (
+            (q, qh, g, kh), (k, kh, g.swapaxes(-1, -2), qh), (v, vh, w.swapaxes(-1, -2), gh))
+            if t.requires_grad]
+
+        def input_grads(h, *outs):
+            return [np.matmul(a[h], b[h], out=o)
+                    for (_, _, a, b), o in zip(wanted, outs or [None] * len(wanted))]
+
+        grads = _head_groups(input_grads, heads, 5 * flops,
+                             lambda: [(*lead(), a.shape[-2], dk) for _, _, a, _ in wanted])
+        for (t, th, _, _), gt in zip(wanted, grads):
+            _acc(t, _merged(_unbroadcast(gt, th.shape)), "attention")
 
     return _result(data, (q, k, v), bwd, "attention"), weights
 
 
 def project_kv(kv_in: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Keys and values (..., Lk, d) of kv_in (..., Lk, d) for one attention block.
+    """Keys and values (..., Lk, d) of kv_in (..., Lk, d) for one attention block:
+    two `linear` nodes, whose independent GEMMs may run on both cores.
 
     Incremental decoding calls this once per source for cross-attention and
     once per new token for self-attention, and keeps the results.
     """
-    return (linear(kv_in, params["wk"], params["bk"]),
-            linear(kv_in, params["wv"], params["bv"]))
+    wk, bk, wv, bv = params["wk"], params["bk"], params["wv"], params["bv"]
+    x, work = kv_in.data, 2 * kv_in.data.size * bk.data.size
+    _linear_fits(kv_in, wk, bk)
+    _linear_fits(kv_in, wv, bv)
+    k, v = np.empty((*x.shape[:-1], wk.shape[1])), np.empty((*x.shape[:-1], wv.shape[1]))
+    _parallel((lambda: np.add(np.matmul(x, wk.data, out=k), bk.data, out=k),
+               lambda: np.add(np.matmul(x, wv.data, out=v), bv.data, out=v)), work)
+    return _linear_node(kv_in, wk, bk, k), _linear_node(kv_in, wv, bv, v)
 
 
 def attend(

@@ -23,19 +23,111 @@ it saved is freed by reference counting there and then, and a train step
 holds only what the rest of its backward pass still reads. Only leaves
 (parameters) and the loss keep `.grad`. A consumed graph cannot be run
 again; `backward` through any of its nodes raises.
+
+Both cores, same bits. `_parallel` runs independent whole products (a
+weight gradient beside an input gradient, keys beside values, two head
+groups, two halves of Adam's arena) on the calling thread and one worker
+thread. It never splits a sum, so every value is made by the numpy calls of
+the serial code and the bits do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+import queue
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import ContractError, DegenerateInputError, NonFiniteError
+
+
+# Multiply-adds from which `_parallel` hands work to the worker thread. A
+# gate-sized op stays below it (its largest, an affine backward, is ~5M), so
+# it runs inline; an L=512 projection or attention is far above it.
+PARALLEL_WORK = 1 << 24
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_workers: dict[int, queue.SimpleQueue] = {}  # pid -> the task queue of its worker thread
+
+
+def _use_worker(work: float) -> bool:
+    return work >= PARALLEL_WORK and _CPUS > 1
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        done, errors, err, call = tasks.get()
+        try:
+            with np.errstate(**err):
+                call()
+        except BaseException as e:  # raised on the caller by `_parallel`
+            errors.append(e)
+        del errors, call  # a finished task's arrays are not kept past its signal
+        done.release()
+
+
+def _submit(call: Callable, errors: list) -> threading.Lock:
+    """Queue `call` for the process's worker thread, started on first use; the
+    returned lock is released once it has run, an error it raises appended to
+    `errors`. A forked child has a pid of its own, so it starts its own worker:
+    its parent's thread does not exist in it. The call runs under the
+    caller's `np.errstate`, which is per thread (numpy 1.x) or per context
+    (2.x) and so not the worker's own."""
+    pid = os.getpid()
+    tasks = _workers.get(pid)
+    if tasks is None:
+        fresh: queue.SimpleQueue = queue.SimpleQueue()
+        tasks = _workers.setdefault(pid, fresh)  # atomic: of two first callers, one starts it
+        if tasks is fresh:
+            try:
+                threading.Thread(target=_serve, args=(tasks,), name="convsum-worker",
+                                 daemon=True).start()
+            except BaseException:
+                del _workers[pid]  # no thread would serve the queue
+                raise
+    done = threading.Lock()
+    done.acquire()
+    tasks.put((done, errors, np.geterr(), call))
+    return done
+
+
+def _parallel(calls: Sequence[Callable], work: float) -> None:
+    """Run independent zero-argument calls.
+
+    The calls use numpy only: they build no node, read no `_mode`, check
+    nothing, and write their results into arrays the caller allocated. With
+    `work` of at least `PARALLEL_WORK` multiply-adds and two or more CPUs to
+    run on, the first runs on the calling thread and the rest on the worker
+    thread; otherwise all run here, in order. If the first raises, the
+    others finish before the error propagates; an error of another is
+    raised here.
+    """
+    if len(calls) < 2 or not _use_worker(work):
+        for call in calls:
+            call()
+        return
+    errors: list[BaseException] = []
+    pending = [_submit(call, errors) for call in calls[1:]]
+    try:
+        calls[0]()
+    finally:
+        for done in pending:
+            done.acquire()
+    if errors:
+        raise errors[0]
+
+
+def _halves(n: int, work: float) -> list[slice]:
+    """range(n) in two halves when `_parallel` would use the worker for
+    `work`, else whole: a caller that splits a batch of products splits it
+    only where that pays."""
+    if n < 2 or not _use_worker(work):
+        return [slice(0, n)]
+    return [slice(0, (n + 1) // 2), slice((n + 1) // 2, n)]
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -321,28 +413,30 @@ def embedding(table: Tensor, ids: np.ndarray, pe: np.ndarray) -> Tensor:
 
 def _softmax_fwd(s: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis of scores s plus an optional additive bias
-    (0 keeps a slot, -inf masks it; broadcast onto s). Masked slots come out
-    exactly 0; a row left with no slot raises. The forward core of every
-    softmax and attention op; `_softmax_bwd` is its backward.
+    (0 keeps a slot, -inf masks it; broadcast onto s), in place: s is the
+    caller's score buffer, overwritten with the weights and returned. Masked
+    slots come out exactly 0; a row left with no slot raises. The forward
+    core of every softmax and attention op; `_softmax_bwd` is its backward.
     """
     if s.shape[-1] == 0:
         raise DegenerateInputError("softmax: fully masked row")
     if bias is not None:
-        s = s + bias
+        s += bias
     row_max = np.maximum.reduce(s, axis=-1, keepdims=True)
     if bias is not None and np.minimum.reduce(row_max, axis=None) == -np.inf:
         raise DegenerateInputError("softmax: fully masked row")
-    e = s - row_max
-    np.exp(e, out=e)  # masked slots: exp(-inf) = 0 exactly
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    s -= row_max
+    np.exp(s, out=s)  # masked slots: exp(-inf) = 0 exactly
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
+    return s
 
 
-def _softmax_bwd(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _softmax_bwd(w: np.ndarray, g: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the scores of softmax weights w, given the weights' gradient
     g, which it overwrites and returns: w * (g - (g * w).sum(-1)) with no
-    full-size temporary past the sum, bitwise that expression (products commute)."""
-    dot = np.add.reduce(g * w, axis=-1, keepdims=True)
+    full-size temporary past the sum (made in `scratch` if given), bitwise
+    that expression (products commute)."""
+    dot = np.add.reduce(np.multiply(g, w, out=scratch), axis=-1, keepdims=True)
     g -= dot
     g *= w
     return g
@@ -356,7 +450,7 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     the masking pass; its result is bit-identical to an all-valid mask.
     """
     bias = None if mask is None else np.where(np.broadcast_to(mask, x.data.shape), 0.0, -np.inf)
-    data = _softmax_fwd(x.data, bias)
+    data = _softmax_fwd(x.data.copy(), bias)
 
     def bwd(out):
         _acc(x, _softmax_bwd(data, out.grad), "softmax")
@@ -421,13 +515,38 @@ def _affine_bwd(x: np.ndarray, weight: Tensor, bias: Tensor, g: np.ndarray, want
     """Backward of x (..., din) @ weight (din, dout) + bias (dout,) given the
     output's gradient g: accumulates the weight gradient, as one 2-D GEMM over
     the flattened rows, and the bias gradient, each only if wanted; returns
-    x's gradient if `want_x`, else None."""
+    x's gradient if `want_x`, else None. The two GEMMs are independent, so
+    they may run on both cores (`_parallel`)."""
     din, dout = weight.data.shape
+    rows, calls = g.reshape(-1, dout), []
     if weight.requires_grad:
-        _acc(weight, np.matmul(x.reshape(-1, din).T, g.reshape(-1, dout)), op)
+        gw, xt = np.empty((din, dout)), x.reshape(-1, din).T
+        calls.append(lambda: np.matmul(xt, rows, out=gw))
+    if want_x:
+        gx = np.empty((*g.shape[:-1], din))
+        calls.append(lambda: np.matmul(g, weight.data.T, out=gx))
+    _parallel(calls, len(calls) * g.size * din)
+    if weight.requires_grad:
+        _acc(weight, gw, op)
     if bias.requires_grad:
-        _acc(bias, g.reshape(-1, dout).sum(axis=0), op)
-    return np.matmul(g, weight.data.T) if want_x else None
+        _acc(bias, rows.sum(axis=0), op)
+    return gx if want_x else None
+
+
+def _linear_fits(x: Tensor, weight: Tensor, bias: Tensor) -> None:
+    din, dout = weight.data.shape if weight.data.ndim == 2 else (None, None)
+    if x.data.shape[-1:] != (din,) or bias.data.shape != (dout,):
+        raise ContractError(f"linear: incompatible shapes {x.shape}, {weight.shape}, {bias.shape}")
+
+
+def _linear_node(x: Tensor, weight: Tensor, bias: Tensor, data: np.ndarray) -> Tensor:
+    """The `linear` node whose forward made `data` = x @ weight + bias."""
+    def bwd(out):
+        gx = _affine_bwd(x.data, weight, bias, out.grad, x.requires_grad, "linear")
+        if gx is not None:
+            _acc(x, gx, "linear")
+
+    return _result(data, (x, weight, bias), bwd, "linear")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -437,18 +556,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     so its values are bitwise theirs. The backward skips inputs that want no
     gradient.
     """
-    din, dout = weight.data.shape if weight.data.ndim == 2 else (None, None)
-    if x.data.shape[-1:] != (din,) or bias.data.shape != (dout,):
-        raise ContractError(f"linear: incompatible shapes {x.shape}, {weight.shape}, {bias.shape}")
+    _linear_fits(x, weight, bias)
     data = np.matmul(x.data, weight.data)
     data += bias.data
-
-    def bwd(out):
-        gx = _affine_bwd(x.data, weight, bias, out.grad, x.requires_grad, "linear")
-        if gx is not None:
-            _acc(x, gx, "linear")
-
-    return _result(data, (x, weight, bias), bwd, "linear")
+    return _linear_node(x, weight, bias, data)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _halves, _parallel
 from .errors import ContractError, NonFiniteError
 
 # Floats per block of the Adam passes: each of its six operands is 256 KiB,
@@ -138,25 +138,33 @@ def adam_noam_step(state: OptimizerState, params: Parameters) -> float:
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
     state.bind(params)
-    a_all, b_all = state._scratch
-    for s in range(0, grad.size, BLOCK):
-        e = min(s + BLOCK, grad.size)
-        g, m, v, p = grad[s:e], state.m[s:e], state.v[s:e], params.theta[s:e]
-        a, b = a_all[: e - s], b_all[: e - s]
-        np.multiply(g, 1.0 - state.beta1, out=a)
-        m *= state.beta1
-        m += a
-        np.multiply(g, g, out=a)
-        a *= 1.0 - state.beta2
-        v *= state.beta2
-        v += a
-        np.divide(m, bc1, out=a)
-        a *= lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += state.eps
-        a /= b
-        p -= a
+
+    def update(blocks: slice, a_all: np.ndarray, b_all: np.ndarray) -> None:
+        for s in range(blocks.start * BLOCK, min(blocks.stop * BLOCK, grad.size), BLOCK):
+            e = min(s + BLOCK, grad.size)
+            g, m, v, p = grad[s:e], state.m[s:e], state.v[s:e], params.theta[s:e]
+            a, b = a_all[: e - s], b_all[: e - s]
+            np.multiply(g, 1.0 - state.beta1, out=a)
+            m *= state.beta1
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - state.beta2
+            v *= state.beta2
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            a /= b
+            p -= a
+
+    # Elementwise, so the two halves of the blocks may run on both cores, the
+    # second with scratch of its own; the work is about one multiply-add per pass.
+    work = 14 * grad.size
+    halves = _halves(-(-grad.size // BLOCK), work)
+    scratch = [state._scratch, *((np.empty(BLOCK), np.empty(BLOCK)) for _ in halves[1:])]
+    _parallel([lambda h=h, pair=pair: update(h, *pair) for h, pair in zip(halves, scratch)], work)
     return lr
 
 

@@ -13,7 +13,10 @@ import numpy as np
 
 from convsum import kernels
 from convsum.autodiff import Tensor, _acc, _result, _unbroadcast
+from convsum.config import RunConfig, build_model
+from convsum.data import encode_pairs, iter_texts
 from convsum.errors import ContractError
+from convsum.tokenizer import build_vocab
 
 WORD_POOL = [
     "alpine", "basket", "candle", "direct", "ember", "fabric", "garden", "hollow",
@@ -45,6 +48,20 @@ def make_lead_corpus(
             sentences.append(" ".join(words) + " .")
         docs.append({"source": " ".join(sentences), "summary": sentences[0]})
     return docs
+
+
+def gate_model(**overrides):
+    """The c09 gate model (conv in encoder layer 0) and 8 lead-corpus pairs;
+    `overrides` are RunConfig fields."""
+    docs = make_lead_corpus(40, seed=101)
+    vocab = build_vocab(iter_texts(docs), 500)
+    cfg = RunConfig(**{**dict(
+        d_model=64, enc_layers=2, dec_layers=2, ff_size=128, heads=4, token_kernel=13,
+        head_kernel=3, conv_layers=(0,), dropout=0.1, label_smoothing=0.1, copy=True,
+        batch_size=8, max_source_len=64, seed=7,
+    ), **overrides}).validate()
+    model, _ = build_model(cfg, vocab)
+    return model, encode_pairs(docs, vocab, cfg)[:8]
 
 
 # --- generic tape ops ---------------------------------------------------------

@@ -5,7 +5,6 @@ after the run.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -15,11 +14,11 @@ from _helpers import (attention_params, check_grads, fix_gate, head_union_indice
                       make_lead_corpus)
 from convsum import autodiff as ad
 from convsum.attention import AttentionConfig, conv_multi_head_attention, multi_head_attention
-from convsum.config import RunConfig, build_model
+from convsum.config import RunConfig
 from convsum.data import encode_pairs, iter_texts
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.model import ModelConfig, Summarizer
-from convsum.optim import OptimizerState, noam_rate
+from convsum.optim import noam_rate
 from convsum.providers import StubProvider
 from convsum.rouge import lead_tail_analysis, rouge_l, rouge_n, split_sentences
 from convsum.tokenizer import RESERVED, Vocab, build_vocab
@@ -351,7 +350,7 @@ def test_c10_schedule_closed_form():
 
 def test_c11_determinism_and_persistence(tmp_path):
     """Same-seed loss logs identical; checkpoints bit-exact; resume matches."""
-    from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
+    from convsum.checkpoint import load_checkpoint, restore_model
 
     docs = make_lead_corpus(12, seed=5, n_sentences=(2, 3), sentence_len=(3, 5))
     vocab = build_vocab(iter_texts(docs), 150)

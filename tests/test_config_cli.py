@@ -22,8 +22,8 @@ from convsum.data import encode_pairs, iter_texts, load_jsonl
 from convsum.errors import ConfigError, DataError
 from convsum.model import ModelConfig
 from convsum.optim import OptimizerState, noam_rate
-from convsum.tokenizer import RESERVED, Vocab, build_vocab
-from convsum.trainer import DirectoryLock, Trainer, evaluate_model
+from convsum.tokenizer import RESERVED, build_vocab
+from convsum.trainer import DirectoryLock, Trainer
 from convsum.windowing import WindowingConfig
 
 SUB_CONFIGS = (ModelConfig, AttentionConfig, WindowingConfig, DecodingConfig, OptimizerState)

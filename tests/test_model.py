@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _helpers import check_grads, fix_gate
+from _helpers import check_grads, fix_gate, gate_model
 from convsum import autodiff as ad
 from convsum.attention import AttentionConfig
 from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
@@ -744,24 +744,6 @@ class TestIncrementalDecode:
             assert np.array_equal(fresh[k], after[k]), k
 
 
-def _gate_model(**overrides):
-    """The c09 gate model (conv in encoder layer 0) and 8 lead-corpus pairs;
-    `overrides` are RunConfig fields."""
-    from _helpers import make_lead_corpus
-    from convsum.data import encode_pairs, iter_texts
-    from convsum.tokenizer import build_vocab
-
-    docs = make_lead_corpus(40, seed=101)
-    vocab = build_vocab(iter_texts(docs), 500)
-    cfg = RunConfig(**{**dict(
-        d_model=64, enc_layers=2, dec_layers=2, ff_size=128, heads=4, token_kernel=13,
-        head_kernel=3, conv_layers=(0,), dropout=0.1, label_smoothing=0.1, copy=True,
-        batch_size=8, max_source_len=64, seed=7,
-    ), **overrides}).validate()
-    model, _ = build_model(cfg, vocab)
-    return model, encode_pairs(docs, vocab, cfg)[:8]
-
-
 class TestOpCounts:
     """Pins of the tape size: fewer, fatter ops are the decode and train cost
     at desk scale, so a change that adds ops shows here."""
@@ -781,7 +763,7 @@ class TestOpCounts:
         return nodes, loss.item()
 
     def test_tape_nodes_of_a_gate_batch(self):
-        nodes, _ = self._tape_nodes(*_gate_model())
+        nodes, _ = self._tape_nodes(*gate_model())
         assert nodes == 51  # 67 with a 17-op copy head, 71 with a three-op embedding too,
         # 79 with a three-op feed-forward too, 99 with add and dropout ops beside
         # each layer norm as well
@@ -792,14 +774,14 @@ class TestOpCounts:
         ({"integration": "concatenation", "conv_layers": ()}, 54, 4.1981040276337405),
     ])
     def test_tape_nodes_of_a_conditioned_gate_batch(self, overrides, nodes, loss):
-        got_nodes, got_loss = self._tape_nodes(*_gate_model(provider="stub", **overrides))
+        got_nodes, got_loss = self._tape_nodes(*gate_model(provider="stub", **overrides))
         assert got_nodes == nodes
         assert got_loss == pytest.approx(loss, rel=1e-9)
 
     def test_ops_per_decoder_step(self, monkeypatch):
         from convsum import attention
 
-        model, batch = _gate_model()
+        model, batch = gate_model()
         src = batch[0][0]
         state = model.start_decode(model.encode(src), src)
         state.step([model.vocab.bos_id] * 4)
@@ -816,7 +798,7 @@ class TestOpCounts:
     def test_finite_checks_per_decoder_step(self, monkeypatch):
         # One check per output (probabilities, attention, the two layers' new
         # key and value rows), not one per op.
-        model, batch = _gate_model()
+        model, batch = gate_model()
         src = batch[0][0]
         state = model.start_decode(model.encode(src), src)
         state.step([model.vocab.bos_id] * 4)
@@ -839,7 +821,7 @@ class TestParameterLayout:
         ({"decoder_conditioned": True, "provider": "stub"}, "8a631325d8dcb4b1", "7f2ef176ea5aaade"),
     ])
     def test_names_and_theta_are_pinned(self, overrides, names, theta):
-        model, _ = _gate_model(**overrides)
+        model, _ = gate_model(**overrides)
         assert hashlib.sha256(",".join(model.params).encode()).hexdigest()[:16] == names
         assert hashlib.sha256(model.params.theta.tobytes()).hexdigest()[:16] == theta
 
@@ -849,7 +831,7 @@ class TestDeferredChecks:
     replays the step with per-op checks, so the error still names the op."""
 
     def _trained(self):
-        model, batch = _gate_model()
+        model, batch = gate_model()
         opt = OptimizerState(d_model=64, warmup=10)
         model.train_step(batch, opt)  # so the moments are not zero
         return model, batch, opt
@@ -908,7 +890,7 @@ class TestDeferredChecks:
         # checks nothing, only the loss is checked, and Adam runs once
         from convsum import model as model_mod
 
-        model, batch = _gate_model()
+        model, batch = gate_model()
         checked, steps = [], []
         check, adam = ad._check_finite, model_mod.adam_noam_step
         monkeypatch.setattr(ad, "_check_finite",
@@ -919,13 +901,13 @@ class TestDeferredChecks:
         assert checked == ["sequence_loss"] and steps == [1]
 
     def test_inf_in_output_bias_fails_beam_search_naming_op(self):
-        model, batch = _gate_model()
+        model, batch = gate_model()
         model.params["gen.b"].data[7] = np.inf
         with pytest.raises(NonFiniteError, match="'copy_head'"):
             beam_search(model, batch[0][0], DecodingConfig(4, 5, 5))
 
     def test_failed_decoder_step_leaves_state_unchanged(self):
-        model, batch = _gate_model()
+        model, batch = gate_model()
         src, tokens = batch[0][0], batch[0][1]
         memory = model.encode(src)
         state, ref = model.start_decode(memory, src), model.start_decode(memory, src)
@@ -953,7 +935,7 @@ class TestDeferredChecks:
         # nothing to replay.
         from convsum import attention
 
-        model, batch = _gate_model()
+        model, batch = gate_model()
         src, bos = batch[0][0], model.vocab.bos_id
         memory = model.encode(src)
         fresh, fed = model.start_decode(memory, src), model.start_decode(memory, src)

@@ -29,7 +29,7 @@ from convsum.attention import AttentionConfig, _attention, _band_attention
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.errors import ContractError, DegenerateInputError, NonFiniteError
 from convsum.model import ModelConfig, Summarizer
-from convsum.optim import OptimizerState
+from convsum.optim import BLOCK, Init, OptimizerState, Parameters, adam_noam_step, zero_grads
 from convsum.providers import StubProvider
 from convsum.tokenizer import RESERVED, Vocab
 from convsum.windowing import WindowingConfig
@@ -384,24 +384,43 @@ def _grads(fn, sample, grad=None) -> list:
     return [t.grad for t in leaves]
 
 
+@contextlib.contextmanager
+def _worker(on: bool):
+    """Every split an op makes goes to the worker thread (on: a threshold of
+    0, where the process may use two CPUs), or none does."""
+    saved = ad.PARALLEL_WORK
+    ad.PARALLEL_WORK = 0 if on else math.inf
+    try:
+        yield
+    finally:
+        ad.PARALLEL_WORK = saved
+
+
 @pytest.mark.parametrize("entry,sample", CASES)
 def test_op_forward(entry, sample):
     """One node over the inputs, the same values with a tape, without one and
-    deferred, and read-only weights beside the node."""
+    deferred, and read-only weights beside the node; bitwise the same with
+    the worker thread on and off."""
     fn = entry.op
-    leaves = _leaves(sample)
-    taped = _call(fn, leaves, sample)
-    node = taped[0]
-    assert node.op == entry.name and node.requires_grad
-    assert all(any(p is t for t in leaves) for p in node._parents)
-    with ad.no_grad():
-        bare = _call(fn, _leaves(sample), sample)
-    assert bare[0]._parents == () and bare[0]._backward is None and not bare[0].requires_grad
-    assert not any(r.flags.writeable for r in (*taped[1:], *bare[1:]))
-    deferred = ad.checked_step(lambda: _call(fn, _leaves(sample), sample), lambda r: (r[0].data,))
-    values = _values(taped)
-    for other in (bare, deferred):
-        for got, want in zip(_values(other), values, strict=True):
+    runs = []
+    for on in (False, True):
+        with _worker(on):
+            leaves = _leaves(sample)
+            taped = _call(fn, leaves, sample)
+            node = taped[0]
+            assert node.op == entry.name and node.requires_grad
+            assert all(any(p is t for t in leaves) for p in node._parents)
+            with ad.no_grad():
+                bare = _call(fn, _leaves(sample), sample)
+            assert bare[0]._parents == () and bare[0]._backward is None
+            assert not bare[0].requires_grad
+            assert not any(r.flags.writeable for r in (*taped[1:], *bare[1:]))
+            deferred = ad.checked_step(lambda: _call(fn, _leaves(sample), sample),
+                                       lambda r: (r[0].data,))
+            runs.append([_values(r) for r in (taped, bare, deferred)])
+    values = runs[0][0]
+    for other in (*runs[0][1:], *runs[1]):
+        for got, want in zip(other, values, strict=True):
             _close(got, want, True, "forward mode")
     ref = _call(entry.ref, _leaves(sample), sample)
     for got, want in zip(values, _values(ref), strict=True):
@@ -410,9 +429,13 @@ def test_op_forward(entry, sample):
 
 @pytest.mark.parametrize("entry,sample", CASES)
 def test_op_gradients(entry, sample):
-    """Gradients: a tape reference's, none where none is wanted, central differences."""
+    """Gradients: a tape reference's, none where none is wanted, bitwise the
+    same with the worker thread on, central differences."""
     fn = entry.op
     grads = _grads(fn, sample)
+    with _worker(True):
+        for got, want in zip(_grads(fn, sample), grads, strict=True):
+            assert (got is None) if want is None else np.array_equal(got, want)
     ref = _call(entry.ref, _leaves(sample), sample)
     if isinstance(ref[0], ad.Tensor):
         for got, want in zip(grads, _grads(entry.ref, sample)):
@@ -455,19 +478,22 @@ def test_op_backward_frees_what_it_saved(entry, sample):
 
 @pytest.mark.parametrize("entry,sample", CASES)
 def test_op_names_a_planted_nan(entry, sample):
-    """In the forward with a tape, without one and deferred, and in a backward."""
+    """In the forward with a tape, without one and deferred, and in a backward,
+    with the worker thread off and on."""
     fn, name = entry.op, entry.name
-    poisoned = _leaves(sample)
-    poisoned[0].data[...] = np.nan
-    for mode in (contextlib.nullcontext(), ad.no_grad()):
-        with mode, pytest.raises(NonFiniteError, match=f"op '{name}'"):
-            _call(fn, poisoned, sample)
-    with pytest.raises(NonFiniteError, match=f"op '{name}'"):
-        ad.checked_step(lambda: _call(fn, poisoned, sample), lambda r: (r[0].data,))
-    node = _call(fn, _leaves(sample), sample)[0]
-    node.grad = np.full(node.shape, np.nan)
-    with pytest.raises(NonFiniteError, match=f"backward of '{name}'"):
-        node._backward()
+    for on in (False, True):
+        with _worker(on):
+            poisoned = _leaves(sample)
+            poisoned[0].data[...] = np.nan
+            for mode in (contextlib.nullcontext(), ad.no_grad()):
+                with mode, pytest.raises(NonFiniteError, match=f"op '{name}'"):
+                    _call(fn, poisoned, sample)
+            with pytest.raises(NonFiniteError, match=f"op '{name}'"):
+                ad.checked_step(lambda: _call(fn, poisoned, sample), lambda r: (r[0].data,))
+            node = _call(fn, _leaves(sample), sample)[0]
+            node.grad = np.full(node.shape, np.nan)
+            with pytest.raises(NonFiniteError, match=f"backward of '{name}'"):
+                node._backward()
 
 
 @pytest.mark.parametrize("entry,call,error,match", REJECTS)
@@ -519,3 +545,47 @@ def test_every_op_a_run_makes_has_an_entry(run, monkeypatch):
     RUNS[run]()
     missing = seen - {e.name for e in OPS}
     assert seen and not missing, f"ops without a table entry: {sorted(missing)}"
+
+
+# --- Adam's two halves --------------------------------------------------------
+
+
+def _adam_arena():
+    """An arena of 3 * BLOCK + 123 floats, its gradients written, and Adam's state."""
+    params = Parameters({"a": Init((BLOCK + 5,)), "b": Init((2 * BLOCK + 118,))})
+    rng = np.random.default_rng(3)
+    params.theta[...] = rng.normal(size=params.theta.size)
+    zero_grads(params)
+    params.grad[...] = rng.normal(size=params.grad.size)
+    for p in params.values():
+        p.grad = p._grad_buf
+    return params, OptimizerState(d_model=8, warmup=10)
+
+
+def test_adam_split_on_the_worker_is_bitwise_the_whole_update():
+    results = []
+    for on in (False, True):
+        with _worker(on):
+            params, state = _adam_arena()
+            for _ in range(2):
+                adam_noam_step(state, params)
+                for p in params.values():
+                    p.grad = p._grad_buf
+            results.append((params.theta, state.m, state.v))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_a_nonfinite_gradient_in_the_second_half_moves_nothing():
+    with _worker(True):
+        params, state = _adam_arena()
+        adam_noam_step(state, params)
+        for p in params.values():
+            p.grad = p._grad_buf
+        params.grad[-7] = np.inf  # in the half the worker updates
+        before = [a.copy() for a in (params.theta, state.m, state.v)]
+        with pytest.raises(NonFiniteError, match="'b'"):
+            adam_noam_step(state, params)
+    assert state.step == 1
+    for got, want in zip((params.theta, state.m, state.v), before):
+        assert np.array_equal(got, want)
