@@ -7,37 +7,32 @@ query attends to the k_tok-1 neighbors centered on it (clipped at sequence
 boundaries and renormalized, never padded); a head kernel of k_head means each
 head's keys/values are pooled with those of the k_head-1 adjacent heads.
 
-Convolutional attention is one fused, banded tape op. With w = min(k_tok,
-2L-1), each query scores only its k_head*w gathered keys, so a layer costs
-O(H*L*k_head*w*dk) time and O(H*L*k_head*w) weights, not O(H*k_head*L^2).
-Its weights come back as (H, L, k_head*w): slot u*w + o of row i is key
-i + o - (w-1)/2 in union head u, exactly 0 outside the sequence or the head
-range. When the window covers everything (k_head == 1 and k_tok >= 2L-1) the
-layer is plain `multi_head_attention`, bit for bit, and its weights are that
-function's dense (H, L, L).
+Each attention sublayer is one tape op (`_sublayer`): query, keys and
+values, a core, output projection, with a hand-written backward. Full
+attention records `attention`; its core `_full_core` splits heads as views.
+Keys and values stay (..., Lk, d), so decoding caches them as (B, t, d) and
+passes them back as `past`. A beam step of the d=64 gate model runs 15 tape
+ops, 27 with five-op sublayers, and 115 with finer ops elsewhere too.
 
-Full attention is three tape ops: the query projection, one fused
-`attention` op (head split as a view, scores, scale, masked softmax, context,
-head merge, with a hand-written backward) and the output projection. Keys and
-values stay (..., Lk, d), so decoding caches them as (B, t, d). A beam step
-of the d=64 gate model runs 27 tape ops, where an eight-op attention, a
-two-op `linear` (matmul, bias add), a residual add beside each layer norm,
-a three-op feed-forward, a three-op embedding and a 17-op copy head made
-115. The fused op, the banded op, `autodiff.copy_head` and
-`autodiff.softmax` share one masked-softmax forward and backward
-(`autodiff._softmax_fwd`/`_softmax_bwd`); masks reach it as an additive
-0/-inf score bias.
+Convolutional attention records `band_attention`, whose core `_band_core`
+is banded. With w = min(k_tok, 2L-1), each query scores only its k_head*w
+gathered keys, so a layer costs O(H*L*k_head*w*dk) time and O(H*L*k_head*w)
+weights, not O(H*k_head*L^2). Its weights come back as (H, L, k_head*w):
+slot u*w + o of row i is key i + o - (w-1)/2 in union head u, exactly 0
+outside the sequence or the head range. When the window covers everything
+(k_head == 1 and k_tok >= 2L-1) the layer is plain `multi_head_attention`,
+bit for bit, and its weights are that function's dense (H, L, L).
 
-What backward reads is saved only where it is O(L) per head. The fused op
-saves no weights and recomputes them in backward; the banded op saves its
-(H, L, k_head*w) weights but gathers the head-union windows of k and v
-again. The weights either op returns are read-only: they are a constant of
-the graph (no gradient flows through them), and the banded op's backward
-reads the very array returned.
+Both cores, `autodiff.copy_head` and `autodiff.softmax` share one
+masked-softmax forward and backward (`autodiff._softmax_fwd`/`_softmax_bwd`);
+masks reach it as an additive 0/-inf score bias. Backward keeps only what is
+O(L) per head: the full core recomputes its weights, the banded one gathers
+the head-union windows again. Returned weights are read-only constants of
+the graph; the banded backward reads the very array returned.
 
 Every function takes leading batch axes. A padded batch passes a mask:
-`attend` and `multi_head_attention` a boolean mask broadcastable to
-(..., H, Lq, Lk), `conv_multi_head_attention` a key-padding mask (..., L).
+`attention_sublayer` and `multi_head_attention` a boolean mask broadcastable
+to (..., H, Lq, Lk), `conv_multi_head_attention` a key-padding mask (..., L).
 Unpadded inputs pass none.
 """
 
@@ -50,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, _acc, _halves, _linear_fits, _linear_node, _parallel,
-                       _result, _softmax_bwd, _softmax_fwd, _unbroadcast, linear)
+from .autodiff import (Tensor, _acc, _affine_bwd, _halves, _linear_fits, _linear_node, _mode,
+                       _parallel, _result, _softmax_bwd, _softmax_fwd, _unbroadcast)
 from .errors import ContractError
 from .optim import Init, linear_init
 
@@ -124,28 +119,20 @@ def _head_groups(kernel: Callable, heads: int, work: float,
     return bufs
 
 
-def _attention(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
-    """Fused scaled dot-product attention over projected q (..., Lq, d) and
-    k, v (..., Lk, d); leading axes broadcast.
+def _full_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+               bias: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Scaled dot-product attention over projected q (..., Lq, d) and k, v
+    (..., Lk, d), leading axes broadcast, with an additive 0/-inf score bias
+    that broadcasts onto the scores (..., H, Lq, Lk). Returns (context (...,
+    Lq, d), read-only weights (..., H, Lq, Lk), grads), grads(g) the
+    gradients of q, k and v given the context's gradient g.
 
-    Heads are views of the inputs; scores, scale, masked softmax and context
-    run inside the op, with the numpy calls of the composed ops, so the
-    values are bitwise theirs. bias is an additive 0/-inf score term that
-    broadcasts onto the scores (..., H, Lq, Lk). Returns (context (..., Lq,
-    d), weights (..., H, Lq, Lk)), the weights a read-only constant with no
-    gradient of their own.
-
-    The op saves no weights: its backward recomputes them from the head
-    views and the bias with the same calls, so they are bitwise the
-    forward's, and an (H, Lq, Lk) array lives only while a caller holds
-    the returned weights or the backward runs. numpy makes one BLAS call per
-    head, so two head groups make exactly those calls; at sizes where it
-    pays, forward and backward run as two head groups on both cores
-    (`_head_groups`).
+    Heads are views; the numpy calls are those of the composed ops, so values
+    are bitwise theirs. grads recomputes the weights rather than keep them.
+    Where it pays, forward and backward run as two head groups on both
+    cores, with the same per-head BLAS calls (`_head_groups`).
     """
-    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    qh, kh, vh = (_heads(t, heads) for t in (q, k, v))
     (Lq, dk), Lk = qh.shape[-2:], kh.shape[-2]
     c, flops = dk ** -0.5, qh.size * Lk  # multiply-adds of one product over all heads
     per_head = bias is not None and bias.ndim > 2 and bias.shape[-3] > 1
@@ -165,90 +152,117 @@ def _attention(
     weights, ctx = _head_groups(forward, heads, 2 * flops,
                                 lambda: [(*lead(), Lq, Lk), (*lead(), Lq, dk)])
     weights.flags.writeable = False
-    data = _merged(ctx)
 
-    def bwd(out):
-        gh = _heads(out.grad, heads)
+    def grads(g: np.ndarray) -> list[np.ndarray]:
+        gh = _heads(g, heads)
 
         def score_grads(h, s=None, gs=None, scratch=None):  # heads h: weights, their grad
             w = weights_into(h, s)
-            g = np.matmul(gh[h], vh[h].swapaxes(-1, -2), out=gs)
-            _softmax_bwd(w, g, scratch)
-            g *= c
-            return w, g, scratch
+            gs = np.matmul(gh[h], vh[h].swapaxes(-1, -2), out=gs)
+            _softmax_bwd(w, gs, scratch)
+            gs *= c
+            return w, gs, scratch
 
-        w, g, scratch = _head_groups(score_grads, heads, 5 * flops, lambda: [(*lead(), Lq, Lk)] * 3)
+        w, gs, scratch = _head_groups(score_grads, heads, 5 * flops, lambda: [(*lead(), Lq, Lk)] * 3)
         del scratch  # freed before the input gradients are made: peak memory as inline
-        # each wanted input's gradient: the product of two head-split factors
-        wanted = [(t, th, a, b) for t, th, a, b in (
-            (q, qh, g, kh), (k, kh, g.swapaxes(-1, -2), qh), (v, vh, w.swapaxes(-1, -2), gh))
-            if t.requires_grad]
+        # each input's gradient: the product of two head-split factors
+        factors = ((qh, gs, kh), (kh, gs.swapaxes(-1, -2), qh), (vh, w.swapaxes(-1, -2), gh))
 
         def input_grads(h, *outs):
-            return [np.matmul(a[h], b[h], out=o)
-                    for (_, _, a, b), o in zip(wanted, outs or [None] * len(wanted))]
+            return [np.matmul(a[h], b[h], out=o) for (_, a, b), o in zip(factors, outs or [None] * 3)]
 
-        grads = _head_groups(input_grads, heads, 5 * flops,
-                             lambda: [(*lead(), a.shape[-2], dk) for _, _, a, _ in wanted])
-        for (t, th, _, _), gt in zip(wanted, grads):
-            _acc(t, _merged(_unbroadcast(gt, th.shape)), "attention")
+        split = _head_groups(input_grads, heads, 5 * flops,
+                             lambda: [(*lead(), a.shape[-2], dk) for _, a, _ in factors])
+        return [_merged(_unbroadcast(gt, th.shape)) for (th, _, _), gt in zip(factors, split)]
 
-    return _result(data, (q, k, v), bwd, "attention"), weights
+    return _merged(ctx), weights, grads
+
+
+def _kv(x: np.ndarray, params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Keys x @ wk + bk and values x @ wv + bv: GEMMs that may run on both cores."""
+    wk, bk, wv, bv = params["wk"], params["bk"], params["wv"], params["bv"]
+    k, v = np.empty((*x.shape[:-1], wk.shape[1])), np.empty((*x.shape[:-1], wv.shape[1]))
+    _parallel((lambda: np.add(np.matmul(x, wk.data, out=k), bk.data, out=k),
+               lambda: np.add(np.matmul(x, wv.data, out=v), bv.data, out=v)),
+              2 * x.size * bk.shape[0])
+    return k, v
 
 
 def project_kv(kv_in: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Keys and values (..., Lk, d) of kv_in (..., Lk, d) for one attention block:
-    two `linear` nodes, whose independent GEMMs may run on both cores.
+    """Keys and values (..., Lk, d) of kv_in (..., Lk, d) as two `linear`
+    nodes: cross-attention's, projected once per source."""
+    pairs = [(params["w" + n], params["b" + n]) for n in "kv"]
+    for w, b in pairs:
+        _linear_fits(kv_in, w, b)
+    return tuple(_linear_node(kv_in, w, b, a) for (w, b), a in zip(pairs, _kv(kv_in.data, params)))
 
-    Incremental decoding calls this once per source for cross-attention and
-    once per new token for self-attention, and keeps the results.
+
+_PROJECTIONS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def _sublayer(x: Tensor, params: dict[str, Tensor], op: str, core: Callable,
+              kv: Tensor | tuple[Tensor, Tensor] | None = None, past: tuple | None = None
+              ) -> tuple[Tensor, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """An attention sublayer of x (..., Lq, d) as one tape op `op`: query,
+    keys and values, `core(q, k, v)`, output projection. Keys and values are
+    projected from x or from a Tensor kv (..., Lk, d), or kv is the projected
+    pair; cached rows `past` (..., t, d) go first, under `no_grad` only.
+
+    The numpy calls, and the order of the backward's sums into x (query,
+    keys, values), are those of the `linear`s and core op it once was.
+    Returns (output, the core's read-only weights, the keys and values).
     """
-    wk, bk, wv, bv = params["wk"], params["bk"], params["wv"], params["bv"]
-    x, work = kv_in.data, 2 * kv_in.data.size * bk.data.size
-    _linear_fits(kv_in, wk, bk)
-    _linear_fits(kv_in, wv, bv)
-    k, v = np.empty((*x.shape[:-1], wk.shape[1])), np.empty((*x.shape[:-1], wv.shape[1]))
-    _parallel((lambda: np.add(np.matmul(x, wk.data, out=k), bk.data, out=k),
-               lambda: np.add(np.matmul(x, wv.data, out=v), bv.data, out=v)), work)
-    return _linear_node(kv_in, wk, bk, k), _linear_node(kv_in, wv, bv, v)
+    d, given = x.data.shape[-1], isinstance(kv, tuple)
+    src = x if kv is None else kv  # what keys and values are projected from, unless given
+    inputs = kv if given else () if kv is None else (kv,)  # the tensors besides x
+    wq, bq, wk, bk, wv, bv, wo, bo = ps = [params[n] for n in _PROJECTIONS]
+    if ([p.data.shape for p in ps] != [(d, d), (d,)] * 4
+            or any(t.data.shape[-1] != d for t in inputs)):
+        raise ContractError(f"{op}: projections, keys or values do not fit model width {d}")
+    if past is not None and _mode.grad:
+        raise ContractError(f"{op}: cached keys and values take no gradient: use no_grad")
+    q = np.matmul(x.data, wq.data)
+    q += bq.data
+    k, v = (kv[0].data, kv[1].data) if given else _kv(src.data, params)
+    if past is not None:
+        k, v = np.concatenate((past[0], k), axis=-2), np.concatenate((past[1], v), axis=-2)
+    ctx, weights, grads = core(q, k, v)
+    data = np.matmul(ctx, wo.data)
+    data += bo.data
+
+    def bwd(out):
+        g = _affine_bwd(ctx, wo, bo, out.grad, True, op)
+        out.grad = None  # read: freed before the core's backward, as by separate nodes
+        gs = grads(g)  # the query's, keys' and values' gradients, each freed once summed
+        del g
+        _acc(x, _affine_bwd(x.data, wq, bq, gs.pop(0), x.requires_grad, op), op)
+        for t, w, b in zip(kv if given else (src, src), (wk, wv), (bk, bv)):
+            g = gs.pop(0)
+            _acc(t, g if given else _affine_bwd(src.data, w, b, g, src.requires_grad, op), op)
+
+    node = _result(data, (x, *inputs, *ps), bwd, op)
+    return node, weights, (k, v)
 
 
-def attend(
-    query_in: Tensor,
-    k: Tensor,
-    v: Tensor,
-    params: dict[str, Tensor],
-    heads: int,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention of query_in (..., Lq, d) over projected
-    keys/values (..., Lk, d); leading axes broadcast. Three tape ops: the
-    query projection, the fused attention and the output projection.
-
-    Optional boolean mask broadcastable to (..., H, Lq, Lk): a causal (Lq, Lk)
-    mask, or a key-padding mask (B, 1, 1, Lk). Returns (output (..., Lq, d),
-    attention weights (..., H, Lq, Lk), a read-only constant).
-    """
-    q = linear(query_in, params["wq"], params["bq"])
+def attention_sublayer(x: Tensor, params: dict[str, Tensor], heads: int,
+                       mask: np.ndarray | None = None,
+                       kv: Tensor | tuple[Tensor, Tensor] | None = None, past: tuple | None = None
+                       ) -> tuple[Tensor, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Multi-head attention of x (..., Lq, d) as one `attention` op, keys and
+    values as in `_sublayer`; an optional boolean mask broadcasts to (..., H,
+    Lq, Lk). Returns (output (..., Lq, d), read-only weights (..., H, Lq,
+    Lk), keys and values (..., Lk, d))."""
     bias = None if mask is None else np.where(mask, 0.0, -np.inf)
-    ctx, weights = _attention(q, k, v, heads, bias)
-    return linear(ctx, params["wo"], params["bo"]), Tensor(weights)
+    return _sublayer(x, params, "attention",
+                     functools.partial(_full_core, heads=heads, bias=bias), kv, past)
 
 
-def multi_head_attention(
-    query_in: Tensor,
-    kv_in: Tensor,
-    params: dict[str, Tensor],
-    heads: int,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Vanilla multi-head attention.
-
-    query_in (..., Lq, d), kv_in (..., Lk, d), optional boolean mask
-    broadcastable to (..., H, Lq, Lk). Returns (output (..., Lq, d),
-    attention weights (..., H, Lq, Lk)).
-    """
-    return attend(query_in, *project_kv(kv_in, params), params, heads, mask)
+def multi_head_attention(query_in: Tensor, kv_in: Tensor, params: dict[str, Tensor], heads: int,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """`attention_sublayer` of query_in (..., Lq, d) over kv_in (..., Lk, d):
+    (output (..., Lq, d), attention weights (..., H, Lq, Lk))."""
+    out, weights, _ = attention_sublayer(query_in, params, heads, mask, kv_in)
+    return out, Tensor(weights)
 
 
 @functools.lru_cache(maxsize=64)
@@ -318,21 +332,15 @@ def _key_bias(key_mask: np.ndarray, w: int) -> np.ndarray:
     return np.where(keep, 0.0, -np.inf)
 
 
-def _band_attention(
-    q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig, key_mask: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
-    """Fused banded attention over projected q, k, v (..., L, d).
-
-    Returns (context (..., L, d), weights (B, L, H, k_head*w)) with B the
-    product of the leading axes. Keys and values of the head union are
-    gathered once into zero-padded (B, L + w - 1, H, k_head, dk) arrays; the
-    token window is a strided view of them, so scores, masked softmax and
-    context cost O(B*H*L*k_head*w*dk). An optional key-padding mask (..., L)
-    adds each example's own key validity to the cached bias, so a short
-    example's window clips at its own length. The weights carry no gradient
-    of their own; the backward reads them, so they are read-only. The
-    backward gathers the union windows again rather than keeping them: they
-    are k_head * (L + w - 1) / L times the size of k and v.
+def _band_core(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig,
+               key_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Banded attention over projected q, k, v (..., L, d): (context, read-only
+    weights (B, L, H, k_head*w), grads) as `_full_core`'s, B the product of
+    the leading axes. The head union's keys and values are gathered into
+    zero-padded (B, L + w - 1, H, k_head, dk) arrays whose token window is a
+    strided view, so the core costs O(B*H*L*k_head*w*dk). A key-padding mask
+    (..., L) clips each example's windows at its own length. grads reads the
+    weights returned and gathers the windows again rather than keep them.
     """
     *lead, L, d = q.shape
     B = math.prod(lead)
@@ -350,37 +358,33 @@ def _band_attention(
         np.take(t.reshape(B, L, H, dk), idx, axis=2, out=u[:, half:half + L], mode="clip")
         return _window(u, L, w)
 
-    q4 = q.data.reshape(B, L, H, dk)
-    kw, vw = union_windows(k.data), union_windows(v.data)
+    q4 = q.reshape(B, L, H, dk)
+    kw, vw = union_windows(k), union_windows(v)
     s = np.matmul(q4[:, :, :, None, None, :], kw).reshape(B, L, H, kk * w)
     s *= c
     weights = _softmax_fwd(s, bias)
     weights.flags.writeable = False
     w6 = weights.reshape(B, L, H, kk, w, 1)
-    data = np.matmul(vw, w6).sum(axis=3).reshape(q.shape)
+    ctx = np.matmul(vw, w6).sum(axis=3).reshape(q.shape)
 
-    def bwd(out):
-        g4 = out.grad.reshape(B, L, H, dk)
-        gw = np.matmul(g4[:, :, :, None, None, :], union_windows(v.data))
+    def grads(g: np.ndarray) -> list[np.ndarray]:
+        g4 = g.reshape(B, L, H, dk)
+        gw = np.matmul(g4[:, :, :, None, None, :], union_windows(v))
         gs = _softmax_bwd(weights, gw.reshape(B, L, H, kk * w))
         gs *= c
         gs = gs.reshape(B, L, H, kk, w)
-        if q.requires_grad:
-            gq = np.matmul(union_windows(k.data), gs[..., None]).sum(axis=3)
-            _acc(q, gq.reshape(q.shape), "band_attention")
-        if k.requires_grad:
-            _acc(k, _unwindow(gs, q4, scatter, half).reshape(k.shape), "band_attention")
-        if v.requires_grad:
-            _acc(v, _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape), "band_attention")
+        gq = np.matmul(union_windows(k), gs[..., None]).sum(axis=3).reshape(q.shape)
+        return [gq, _unwindow(gs, q4, scatter, half).reshape(k.shape),
+                _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape)]
 
-    return _result(data, (q, k, v), bwd, "band_attention"), weights
+    return ctx, weights, grads
 
 
 def conv_multi_head_attention(
     x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig,
     key_mask: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Convolutional self-attention over x (..., L, d).
+    """Convolutional self-attention over x (..., L, d): one `band_attention` op.
 
     Per head h and position i, keys/values are gathered from the token window
     across the head union; softmax runs over exactly that gathered set.
@@ -407,9 +411,6 @@ def conv_multi_head_attention(
     if cfg.head_kernel == 1 and cfg.token_kernel >= 2 * L - 1:
         mask = None if key_mask is None else key_mask[..., None, None, :]
         return multi_head_attention(x, x, params, H, mask)
-    q = linear(x, params["wq"], params["bq"])
-    k = linear(x, params["wk"], params["bk"])
-    v = linear(x, params["wv"], params["bv"])
-    ctx, weights = _band_attention(q, k, v, cfg, key_mask)
-    weights = np.moveaxis(weights.reshape(*lead, L, H, -1), -2, -3)
-    return linear(ctx, params["wo"], params["bo"]), Tensor(weights)
+    out, weights, _ = _sublayer(x, params, "band_attention",
+                                functools.partial(_band_core, cfg=cfg, key_mask=key_mask))
+    return out, Tensor(np.moveaxis(weights.reshape(*lead, L, H, -1), -2, -3))

@@ -5,6 +5,7 @@ Round-trips are bit-exact (float64 arrays stored losslessly)."""
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
 from dataclasses import dataclass
 
@@ -60,14 +61,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; its run config is validated like a config file's,
     its vocab like a vocab file's, and each parameter or moment array must
     be float64."""
+    key = None  # the array being read, if any
     try:
         data = np.load(path, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):  # a lone .npy array
             raise DataError(f"not a checkpoint file: {path}")
+        arrays = {}
         with data:  # members are read, and their CRCs checked, here
-            arrays = {key: data[key] for key in data.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError) as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from e
+            for key in data.files:
+                arrays[key] = data[key]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
+            tokenize.TokenError) as e:  # TokenError: a .npy header that does not parse
+        raise DataError(f"cannot read checkpoint {path}: {e}"
+                        + ("" if key is None else f" (array '{key}')")) from e
     if "__meta__" not in arrays:
         raise DataError(f"not a checkpoint file: {path}")
     try:
@@ -95,6 +101,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         kind, _, name = key.partition(":")
         if kind in named:
             named[kind][name] = arr
+            if not isinstance(arr, np.ndarray):  # numpy hands back a non-.npy member's bytes
+                raise DataError(f"cannot read checkpoint {path}: array '{key}' is not .npy data")
             if arr.dtype != np.float64:
                 raise DataError(f"checkpoint {path}: array '{key}' has dtype {arr.dtype}, "
                                 "expected float64")

@@ -10,14 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    AttentionConfig,
-    attend,
-    attention_inits,
-    conv_multi_head_attention,
-    multi_head_attention,
-    project_kv,
-)
+from .attention import (AttentionConfig, attention_inits, attention_sublayer,
+                        conv_multi_head_attention, multi_head_attention, project_kv)
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .optim import Init, Parameters, adam_noam_step, linear_init, zero_grads
@@ -291,14 +285,14 @@ class Summarizer:
         training: bool,
         cross_mask: np.ndarray | None = None,
         past: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    ) -> tuple[Tensor, Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+    ) -> tuple[Tensor, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """The decoder stack on target ids (..., T) over memory's `cross_kv`
         (from `_cross_kv`), whose keys `cross_mask` may mask.
 
         Without `past`, ids are whole BOS-led prefixes under the causal mask.
-        With it, they are the next T tokens after each layer's cached
-        self-attention keys/values (..., t, d), and attend to all of them.
-        Returns (states (..., T, d), last cross-attention (..., H, T, L),
+        With it (under `no_grad`), they are the next T tokens after each
+        layer's cached self-attention keys/values (..., t, d). Returns
+        (states (..., T, d), last cross-attention weights (..., H, T, L),
         each layer's self-attention (keys, values) (..., t + T, d)).
         """
         ids = np.asarray(ids, dtype=np.int64)
@@ -310,15 +304,12 @@ class Summarizer:
         mask = np.tril(np.ones((T, T), dtype=bool)) if past is None else None
         cache, cross_weights = [], None
         for i in range(self.cfg.dec_layers):
-            k, v = project_kv(x, self._block(f"dec.{i}.self"))
-            if past is not None:
-                k = ad.constant(np.concatenate([past[i][0], k.data], axis=-2))
-                v = ad.constant(np.concatenate([past[i][1], v.data], axis=-2))
-            cache.append((k.data, v.data))
-            a, _ = attend(x, k, v, self._block(f"dec.{i}.self"), heads, mask)
+            a, _, kv = attention_sublayer(x, self._block(f"dec.{i}.self"), heads, mask,
+                                          past=None if past is None else past[i])
+            cache.append(kv)
             x = self._add_norm(x, a, f"dec.{i}.ln1", training)
-            c, cross_weights = attend(x, *cross_kv[i], self._block(f"dec.{i}.cross"), heads,
-                                      cross_mask)
+            c, cross_weights, _ = attention_sublayer(x, self._block(f"dec.{i}.cross"), heads,
+                                                     cross_mask, cross_kv[i])
             x = self._add_norm(x, c, f"dec.{i}.ln2", training)
             x = self._feed_forward(x, f"dec.{i}.ff", f"dec.{i}.ln3", training)
         return x, cross_weights, cache
@@ -349,7 +340,7 @@ class Summarizer:
     def _output_head(
         self,
         states: Tensor,
-        cross: Tensor,
+        cross: np.ndarray,
         memory: Tensor,
         src_ids: np.ndarray,
         src_mask: np.ndarray | None = None,
@@ -362,7 +353,7 @@ class Summarizer:
             _, mixed, attn = self.pointer_generator(states, memory, src_ids, src_mask=src_mask)
             return mixed, attn
         probs = ad.softmax(ad.linear(states, self.params["gen.w"], self.params["gen.b"]))
-        mean_cross = cross.data.sum(axis=-3) * (1.0 / self.cfg.attention.heads)  # a constant
+        mean_cross = cross.sum(axis=-3) * (1.0 / self.cfg.attention.heads)  # a constant
         return probs, ad.constant(mean_cross.reshape(*states.shape[:-1], memory.shape[-2]))
 
     def decode_step(

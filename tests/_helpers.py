@@ -2,17 +2,22 @@
 corpora with a lead bias (summary = first sentence), and the oracles that
 only tests run, among them the generic tape ops that the fused ops replaced
 (`scale`, `matmul`, `transpose`, `sigmoid`, `scatter_probs`), from which
-`tests/test_ops.py` composes its references."""
+`tests/test_ops.py` composes its references, and the attention sublayer as
+the chain of tape ops it once was (`chained_attention`)."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import zipfile
 
 import numpy as np
 
+from convsum import autodiff as ad
 from convsum import kernels
-from convsum.autodiff import Tensor, _acc, _result, _unbroadcast
+from convsum.attention import _band_tables, _heads, _key_bias, _merged, _unwindow, _window
+from convsum.autodiff import Tensor, _acc, _result, _softmax_fwd, _unbroadcast
 from convsum.config import RunConfig, build_model
 from convsum.data import encode_pairs, iter_texts
 from convsum.errors import ContractError
@@ -139,6 +144,107 @@ def scatter_probs(attn: Tensor, src_ids: np.ndarray, vocab_size: int) -> Tensor:
     return _result(data, (attn,), bwd, "scatter_probs")
 
 
+# --- attention: the cores as tape ops, and the sublayer as a chain of them ----
+
+
+def core_op(core, op: str):
+    """A tape op `op` over q, k, v tensors of an attention core (`attention._full_core`,
+    `attention._band_core` or a saving one below), called with the arrays and the
+    further arguments; returns (node, weights)."""
+    def run(q, k, v, *args, **kw):
+        ctx, weights, grads = core(q.data, k.data, v.data, *args, **kw)
+
+        def bwd(out):
+            for t, g in zip((q, k, v), grads(out.grad)):
+                _acc(t, g, op)
+
+        return _result(ctx, (q, k, v), bwd, op), weights
+
+    return run
+
+
+def _old_softmax_bwd(w, g):
+    return w * (g - (g * w).sum(axis=-1, keepdims=True))
+
+
+def saving_full_core(q, k, v, heads, bias=None):
+    """The full attention core when it saved its weights for backward: the
+    oracle of the core that recomputes them."""
+    qh, kh, vh = (_heads(t, heads) for t in (q, k, v))
+    c = qh.shape[-1] ** -0.5
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
+    s *= c
+    weights = _softmax_fwd(s, bias)
+    weights.flags.writeable = False
+
+    def grads(g):
+        gh = _heads(g, heads)
+        gs = _old_softmax_bwd(weights, np.matmul(gh, vh.swapaxes(-1, -2)))
+        gs *= c
+        gq = np.matmul(gs, kh)
+        gk = np.matmul(gs.swapaxes(-1, -2), qh)
+        gv = np.matmul(weights.swapaxes(-1, -2), gh)
+        return [_merged(_unbroadcast(gt, th.shape)) for gt, th in ((gq, qh), (gk, kh), (gv, vh))]
+
+    return _merged(np.matmul(weights, vh)), weights, grads
+
+
+def saving_band_core(q, k, v, cfg, key_mask=None):
+    """The banded core when it saved its union windows for backward: the
+    oracle of the core that gathers them again."""
+    *lead, L, d = q.shape
+    B = math.prod(lead)
+    H, kk = cfg.heads, cfg.head_kernel
+    dk = d // H
+    w, idx, bias, scatter = _band_tables(L, H, kk, cfg.token_kernel, cfg.circular)
+    half = (w - 1) // 2
+    c = dk ** -0.5
+    if key_mask is not None:
+        keys = _key_bias(key_mask.reshape(B, L), w)[:, :, None, None, :]
+        bias = (bias.reshape(L, H, kk, w) + keys).reshape(B, L, H, kk * w)
+
+    def union_windows(t):
+        u = np.zeros((B, L + 2 * half, H, kk, dk))
+        np.take(t.reshape(B, L, H, dk), idx, axis=2, out=u[:, half:half + L], mode="clip")
+        return _window(u, L, w)
+
+    q4 = q.reshape(B, L, H, dk)
+    kw, vw = union_windows(k), union_windows(v)
+    s = np.matmul(q4[:, :, :, None, None, :], kw).reshape(B, L, H, kk * w)
+    s *= c
+    weights = _softmax_fwd(s, bias)
+    weights.flags.writeable = False
+    w6 = weights.reshape(B, L, H, kk, w, 1)
+
+    def grads(g):
+        g4 = g.reshape(B, L, H, dk)
+        gw = np.matmul(g4[:, :, :, None, None, :], vw).reshape(B, L, H, kk * w)
+        gs = _old_softmax_bwd(weights, gw)
+        gs *= c
+        gs = gs.reshape(B, L, H, kk, w)
+        return (np.matmul(kw, gs[..., None]).sum(axis=3).reshape(q.shape),
+                _unwindow(gs, q4, scatter, half).reshape(k.shape),
+                _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape))
+
+    return np.matmul(vw, w6).sum(axis=3).reshape(q.shape), weights, grads
+
+
+def chained_attention(x, params, core, op, kv=None):
+    """An attention sublayer as the tape ops it once was: the query's `linear`,
+    the keys' and values' `linear`s of x or of the Tensor kv (none when kv
+    is a projected (keys, values) pair), the core as its own op `op`
+    (`core_op`, called with the projected tensors) and the output's
+    `linear`. Returns (output, weights)."""
+    q = ad.linear(x, params["wq"], params["bq"])
+    if isinstance(kv, tuple):
+        k, v = kv
+    else:
+        src = x if kv is None else kv
+        k, v = (ad.linear(src, params["w" + n], params["b" + n]) for n in "kv")
+    ctx, weights = core_op(core, op)(q, k, v)
+    return ad.linear(ctx, params["wo"], params["bo"]), weights
+
+
 # --- gradient checks ----------------------------------------------------------
 
 
@@ -210,6 +316,16 @@ def save_jsonl(path: str, docs: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for doc in docs:
             f.write(json.dumps(doc) + "\n")
+
+
+def rewrite_members(raw: bytes, edit) -> bytes:
+    """The zip archive raw with each member's bytes replaced by edit(name,
+    bytes), written anew as a foreign tool would: every CRC is valid."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            dst.writestr(info, edit(info.filename, src.read(info)))
+    return out.getvalue()
 
 
 def attention_params(rng: np.random.Generator, d: int) -> dict:

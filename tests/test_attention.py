@@ -6,23 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import attention_params, closure_arrays, head_union_indices, matmul
+from _helpers import (attention_params, closure_arrays, core_op, head_union_indices, matmul,
+                      saving_band_core, saving_full_core)
 from convsum import attention
 from convsum import autodiff as ad
 from convsum.attention import (
     AttentionConfig,
-    _attention,
-    _band_attention,
-    _band_tables,
-    _heads,
-    _key_bias,
-    _merged,
-    _unwindow,
-    _window,
+    _band_core,
+    _full_core,
+    attention_sublayer,
     conv_multi_head_attention,
     multi_head_attention,
 )
-from convsum.autodiff import _softmax_fwd
 from convsum.errors import ContractError
 from convsum.model import ModelConfig, Summarizer
 from convsum.tokenizer import RESERVED, Vocab
@@ -201,84 +196,7 @@ class TestFusedAttentionOp:
         assert w.shape == (2, 4, 5, 5) and not w.requires_grad
 
 
-# --- the ops as they stood when they saved what backward now recomputes -------
-
-
-def _old_softmax_bwd(w, g):
-    return w * (g - (g * w).sum(axis=-1, keepdims=True))
-
-
-def saving_attention(q, k, v, heads, bias=None):
-    """The fused attention op when it saved its weights for backward: the
-    oracle of the op that recomputes them."""
-    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
-    c = qh.shape[-1] ** -0.5
-    s = np.matmul(qh, kh.swapaxes(-1, -2))
-    s *= c
-    weights = _softmax_fwd(s, bias)
-    weights.flags.writeable = False
-    data = _merged(np.matmul(weights, vh))
-
-    def bwd(out):
-        gh = _heads(out.grad, heads)
-        gs = _old_softmax_bwd(weights, np.matmul(gh, vh.swapaxes(-1, -2)))
-        gs *= c
-        if q.requires_grad:
-            ad._acc(q, _merged(ad._unbroadcast(np.matmul(gs, kh), qh.shape)), "attention")
-        if k.requires_grad:
-            gk = np.matmul(gs.swapaxes(-1, -2), qh)
-            ad._acc(k, _merged(ad._unbroadcast(gk, kh.shape)), "attention")
-        if v.requires_grad:
-            gv = np.matmul(weights.swapaxes(-1, -2), gh)
-            ad._acc(v, _merged(ad._unbroadcast(gv, vh.shape)), "attention")
-
-    return ad._result(data, (q, k, v), bwd, "attention"), weights
-
-
-def saving_band_attention(q, k, v, cfg, key_mask=None):
-    """The banded op when it saved its union windows for backward: the oracle
-    of the op that gathers them again."""
-    *lead, L, d = q.shape
-    B = math.prod(lead)
-    H, kk = cfg.heads, cfg.head_kernel
-    dk = d // H
-    w, idx, bias, scatter = _band_tables(L, H, kk, cfg.token_kernel, cfg.circular)
-    half = (w - 1) // 2
-    c = dk ** -0.5
-    if key_mask is not None:
-        keys = _key_bias(key_mask.reshape(B, L), w)[:, :, None, None, :]
-        bias = (bias.reshape(L, H, kk, w) + keys).reshape(B, L, H, kk * w)
-
-    def union_windows(t):
-        u = np.zeros((B, L + 2 * half, H, kk, dk))
-        np.take(t.reshape(B, L, H, dk), idx, axis=2, out=u[:, half:half + L], mode="clip")
-        return _window(u, L, w)
-
-    q4 = q.data.reshape(B, L, H, dk)
-    kw, vw = union_windows(k.data), union_windows(v.data)
-    s = np.matmul(q4[:, :, :, None, None, :], kw).reshape(B, L, H, kk * w)
-    s *= c
-    weights = _softmax_fwd(s, bias)
-    weights.flags.writeable = False
-    w6 = weights.reshape(B, L, H, kk, w, 1)
-    data = np.matmul(vw, w6).sum(axis=3).reshape(q.shape)
-
-    def bwd(out):
-        g4 = out.grad.reshape(B, L, H, dk)
-        gw = np.matmul(g4[:, :, :, None, None, :], vw).reshape(B, L, H, kk * w)
-        gs = _old_softmax_bwd(weights, gw)
-        gs *= c
-        gs = gs.reshape(B, L, H, kk, w)
-        if q.requires_grad:
-            ad._acc(q, np.matmul(kw, gs[..., None]).sum(axis=3).reshape(q.shape),
-                    "band_attention")
-        if k.requires_grad:
-            ad._acc(k, _unwindow(gs, q4, scatter, half).reshape(k.shape), "band_attention")
-        if v.requires_grad:
-            ad._acc(v, _unwindow(w6[..., 0], g4, scatter, half).reshape(v.shape),
-                    "band_attention")
-
-    return ad._result(data, (q, k, v), bwd, "band_attention"), weights
+# --- the cores against the ones that saved what backward now recomputes ------
 
 
 _BAND_CFGS = [AttentionConfig(heads=3, token_kernel=5, head_kernel=3, conv_layers=()),
@@ -286,18 +204,19 @@ _BAND_CFGS = [AttentionConfig(heads=3, token_kernel=5, head_kernel=3, conv_layer
                               conv_layers=())]
 
 
-_ATTENTION = next(e for e in OPS if e.name == "attention")
+_ATTENTION = next(e for e in OPS if e.label == "attention-core")
 
 
 class TestRecomputingBackward:
-    """The attention ops keep for backward only what is O(L) per head: values
-    and every gradient are bitwise those of the ops that saved more."""
+    """The attention cores keep for backward only what is O(L) per head: values
+    and every gradient are bitwise those of the cores that saved more
+    (`saving_full_core`, `saving_band_core`)."""
 
     @staticmethod
-    def _run(op, sample, **kw):
+    def _run(core, op, sample, **kw):
         """Output, weights and input gradients of a fixed projection of the output."""
         leaves = _leaves(sample)
-        out, weights = op(*leaves, **{**sample.kw, **kw})
+        out, weights = core_op(core, op)(*leaves, **{**sample.kw, **kw})
         ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(_proj(out.shape)))))
         return [out.data, weights, *(t.grad for t in leaves)]
 
@@ -305,12 +224,11 @@ class TestRecomputingBackward:
                              ids=[f"attention-{i}" for i in range(len(_ATTENTION.samples))])
     @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_attention_is_bitwise_the_saving_op(self, sample, heads):
-        def saving(q, k, v, heads, mask=None):
-            return saving_attention(q, k, v, heads, _bias(mask))
-
+        kw = dict(heads=heads, bias=_bias(sample.kw.get("mask")))
+        sample = S(*sample.arrays, grad=sample.grad)
         for name, g, w in zip(["out", "weights", "q", "k", "v"],
-                              self._run(_ATTENTION.op, sample, heads=heads),
-                              self._run(saving, sample, heads=heads)):
+                              self._run(_full_core, "attention", sample, **kw),
+                              self._run(saving_full_core, "attention", sample, **kw)):
             assert np.array_equal(g, w), name
 
     @pytest.mark.parametrize("cfg", _BAND_CFGS, ids=["clipped", "circular"])
@@ -319,19 +237,20 @@ class TestRecomputingBackward:
         sample = S(*(rng.normal(size=(2, 9, 12)) for _ in range(3)), cfg=cfg,
                    key_mask=np.arange(9) < np.array([[9], [6]]) if masked else None)
         for name, g, w in zip(["out", "weights", "q", "k", "v"],
-                              self._run(_band_attention, sample),
-                              self._run(saving_band_attention, sample)):
+                              self._run(_band_core, "band_attention", sample),
+                              self._run(saving_band_core, "band_attention", sample)):
             assert np.array_equal(g, w), name
 
     def test_attention_backward_keeps_no_weights(self, rng):
-        q, k, v = (ad.parameter(rng.normal(size=(2, 5, 8))) for _ in range(3))
-        out, weights = _attention(q, k, v, 4, _bias(np.tril(np.ones((5, 5), dtype=bool))))
+        x = ad.parameter(rng.normal(size=(2, 5, 8)))
+        out, weights, _ = attention_sublayer(x, attention_params(rng, 8), 4,
+                                             np.tril(np.ones((5, 5), dtype=bool)))
         assert weights.shape == (2, 4, 5, 5)
         assert all(a.shape[-3:] != (4, 5, 5) for a in closure_arrays(out._backward))
 
     def test_band_backward_keeps_no_union_windows(self, rng):
-        q, k, v = (ad.parameter(rng.normal(size=(2, 9, 12))) for _ in range(3))
-        out, _ = _band_attention(q, k, v, _BAND_CFGS[0])
+        x = ad.parameter(rng.normal(size=(2, 9, 12)))
+        out, _ = conv_multi_head_attention(x, attention_params(rng, 12), _BAND_CFGS[0])
         # the union windows: (B, L + w - 1, H, k_head, dk) arrays and their views
         # (B, L, H, k_head, dk, w)
         windows = {(2, 13, 3, 3, 4), (2, 9, 3, 3, 4, 5)}
@@ -384,8 +303,8 @@ class TestForwardMemory:
         windows = (B, L + 4, H, 3, 32 // H)  # token window 5, head kernel 3
         assert not [a.shape for a in held if a.shape[-3:] == (H, L, L) or a.shape == windows]
 
-        monkeypatch.setattr(attention, "_attention", saving_attention)
-        monkeypatch.setattr(attention, "_band_attention", saving_band_attention)
+        monkeypatch.setattr(attention, "_full_core", saving_full_core)
+        monkeypatch.setattr(attention, "_band_core", saving_band_core)
         want, saving_live = self._live_after_forward(model, src, lengths, tgt)
         assert loss.item() == want.item()
         weights = B * H * L * L * 8  # the plain encoder layer's

@@ -195,8 +195,8 @@ def test_unpadded_batch_builds_no_mask(rng, monkeypatch):
     monkeypatch.setattr(ad, "softmax", spy)
     from convsum import attention
 
-    fused = attention._attention
-    monkeypatch.setattr(attention, "_attention", attention_spy)
+    fused = attention._full_core
+    monkeypatch.setattr(attention, "_full_core", attention_spy)
     m = _model(conv_layers=())
     batch = [_pair(rng, 5, int(rng.integers(3, 6))) for _ in range(3)]
     m.train_step(batch, OptimizerState(d_model=8, warmup=10))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import WORD_POOL, make_lead_corpus, save_jsonl
+from _helpers import WORD_POOL, make_lead_corpus, rewrite_members, save_jsonl
 from convsum import cli
 from convsum.attention import AttentionConfig
 from convsum.checkpoint import load_checkpoint
@@ -655,6 +655,38 @@ class TestCliTrainAndUse:
         }[command]
         assert cli.main(argv) == 3
         assert "error[data]: " + named.format(ck) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate", "train-resume"])
+    @pytest.mark.parametrize("member,offset,named", [
+        # numpy hands back a member without the .npy magic as raw bytes
+        ("param:dec.0.ln2.b.npy", 5, "array 'param:dec.0.ln2.b' is not .npy data"),
+        # a header dict that numpy's tokenizer rejects
+        ("m:dec.0.cross.bq.npy", 64, "(array 'm:dec.0.cross.bq')"),
+    ], ids=["magic", "header-dict"])
+    def test_damaged_member_with_valid_crcs_exits_3(self, trained, tmp_path, capsys, command,
+                                                    member, offset, named):
+        """A member changed and the zip written anew, as a foreign tool
+        would: the CRCs pass, the member's .npy data does not."""
+        root = trained[0]
+
+        def damage(name, data):
+            if name != member:
+                return data
+            data = bytearray(data)
+            data[offset] ^= 0xFF
+            return bytes(data)
+
+        ck = tmp_path / "rewritten.npz"
+        ck.write_bytes(rewrite_members((root / "ckpt" / "ckpt-10.npz").read_bytes(), damage))
+        argv = {
+            "summarize": ["summarize", "--checkpoint", str(ck), "--text", "anything"],
+            "evaluate": ["evaluate", "--checkpoint", str(ck), "--test", str(root / "train.jsonl")],
+            "train-resume": ["train", "--config", str(root / "run.cfg"), "--resume", str(ck),
+                             "--checkpoint-dir", str(tmp_path / "ckpt")],
+        }[command]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error[data]: cannot read checkpoint {ck}: " in err and named in err
 
     @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate", "leadtail"])
     def test_lone_surrogate_in_a_corpus_exits_3(self, trained, tmp_path, capsys, command):

@@ -764,15 +764,15 @@ class TestOpCounts:
 
     def test_tape_nodes_of_a_gate_batch(self):
         nodes, _ = self._tape_nodes(*gate_model())
-        assert nodes == 51  # 67 with a 17-op copy head, 71 with a three-op embedding too,
-        # 79 with a three-op feed-forward too, 99 with add and dropout ops beside
-        # each layer norm as well
+        assert nodes == 31  # 51 with five-op attention sublayers, 67 with a 17-op copy
+        # head too, 71 with a three-op embedding too, 79 with a three-op feed-forward
+        # too, 99 with add and dropout ops beside each layer norm as well
 
     @pytest.mark.parametrize("overrides,nodes,loss", [
-        ({"integration": "stacking"}, 51, 4.419217669825497),
+        ({"integration": "stacking"}, 31, 4.419217669825497),
         # the conv branch is encoder layer 0 whatever conv_layers says
-        ({"integration": "concatenation", "conv_layers": ()}, 54, 4.1981040276337405),
-    ])
+        ({"integration": "concatenation", "conv_layers": ()}, 34, 4.1981040276337405),
+    ])  # 51 and 54 with five-op attention sublayers
     def test_tape_nodes_of_a_conditioned_gate_batch(self, overrides, nodes, loss):
         got_nodes, got_loss = self._tape_nodes(*gate_model(provider="stub", **overrides))
         assert got_nodes == nodes
@@ -791,9 +791,9 @@ class TestOpCounts:
             monkeypatch.setattr(module, "_result",
                                 lambda d, p, b, op: (ops.append(op), result(d, p, b, op))[1])
         state.step(batch[0][1][1:5])
-        assert len(ops) == 27  # 43 with a 17-op copy head, 45 with a three-op embedding
-        # too, 49 with a three-op feed-forward too, 55 with an add op beside each layer
-        # norm as well
+        assert len(ops) == 15  # 27 with five-op self-attention and three-op cross-attention
+        # sublayers, 43 with a 17-op copy head too, 45 with a three-op embedding too, 49
+        # with a three-op feed-forward too, 55 with an add op beside each layer norm as well
 
     def test_finite_checks_per_decoder_step(self, monkeypatch):
         # One check per output (probabilities, attention, the two layers' new

@@ -6,11 +6,15 @@ composed as before, or plain numpy. `test_every_op_a_run_makes_has_an_entry`
 fails on an op that a train or beam step makes and the table lacks. The
 generic ops that only references compose (`scale`, `matmul`, `transpose`,
 `sigmoid`, `scatter_probs`) live in `tests/_helpers.py` and keep their entries.
+The attention sublayers' reference is the chain of tape ops they once were
+(`chained_attention`); their cores keep entries of their own, as tape ops
+(`core_op`), against the composed and the slot-by-slot oracles.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import itertools
 import math
@@ -22,10 +26,12 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from _helpers import (closure_arrays, grad_rel_err, matmul, numeric_grad, scale, scatter_probs,
+from _helpers import (chained_attention, closure_arrays, core_op, grad_rel_err, matmul,
+                      numeric_grad, saving_band_core, saving_full_core, scale, scatter_probs,
                       sigmoid, transpose)
 from convsum import autodiff as ad
-from convsum.attention import AttentionConfig, _attention, _band_attention
+from convsum.attention import (_PROJECTIONS, AttentionConfig, _band_core, _full_core,
+                               attention_sublayer, conv_multi_head_attention)
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.errors import ContractError, DegenerateInputError, NonFiniteError
 from convsum.model import ModelConfig, Summarizer
@@ -181,12 +187,55 @@ def _band_cfg(heads, token_kernel, head_kernel, circular=False):
                            circular=circular, conv_layers=())
 
 
+def _projections(d):
+    """One attention block's eight projections at width d, in `_PROJECTIONS` order."""
+    return tuple(N(*((d, d) if n[0] == "w" else (d,)), scale=0.5) for n in _PROJECTIONS)
+
+
+def _wants(inputs, projections="qkvo"):
+    """The `grad` flags of a sublayer sample: those of its inputs, then the
+    weight and bias of each projection named in `projections`, except the
+    key bias."""
+    return (*inputs, *(n[1] in projections and n != "bk" for n in _PROJECTIONS))
+
+
+def _block(*ts):
+    """(kv, params) of the tensors after x: the keys' source, or the (keys,
+    values) pair, or neither, then the eight projections."""
+    kv, params = ts[:-8], dict(zip(_PROJECTIONS, ts[-8:]))
+    return (None if not kv else kv[0] if len(kv) == 1 else tuple(kv)), params
+
+
+def attention_op(x, *ts, heads, mask=None):
+    kv, params = _block(*ts)
+    return attention_sublayer(x, params, heads, mask, kv)[:2]
+
+
+def attention_chain(x, *ts, heads, mask=None):
+    kv, params = _block(*ts)
+    core = functools.partial(saving_full_core, heads=heads, bias=_bias(mask))
+    return chained_attention(x, params, core, "attention", kv)
+
+
+def band_op(x, *ts, cfg, key_mask=None):
+    out, weights = conv_multi_head_attention(x, _block(*ts)[1], cfg, key_mask)
+    return out, weights.data
+
+
+def band_chain(x, *ts, cfg, key_mask=None):
+    core = functools.partial(saving_band_core, cfg=cfg, key_mask=key_mask)
+    out, weights = chained_attention(x, _block(*ts)[1], core, "band_attention")
+    *lead, L, _ = x.shape
+    return out, np.moveaxis(weights.reshape(*lead, L, cfg.heads, -1), -2, -3)
+
+
 # --- the table ----------------------------------------------------------------
 
 _BROADCAST = [S(N(3, 4), N(4)), S(N(2, 1, 3), N(4, 3)), S(N(3, 4), N(3, 4), grad=(True, False))]
 _PROBS = np_softmax(C(N(4, 6)))
 # the copy head's wq, bq, wg, bg, wgen and bgen at d=4 over a 6-token vocabulary
 _COPY = (N(4, 4), N(4), N(8, 1), N(1), N(4, 6), N(6))
+_P6 = dict(zip(_PROJECTIONS, map(C, _projections(6))))
 
 OPS = [
     OpInfo("add", ad.add, _BROADCAST, lambda a, b: a.data + b.data,
@@ -320,7 +369,50 @@ OPS = [
            lambda p, **kw: np_smoothed(np.log(np.maximum(p.data, 1e-10)), **kw), exact=False,
            rejects=((lambda: ad.label_smoothed_nll(C(_PROBS), np.array([1]), 0.1, 0),
                      ContractError, "align with probability"),)),
-    OpInfo("attention", lambda q, k, v, heads, mask=None: _attention(q, k, v, heads, _bias(mask)),
+    # an attention sublayer: self-attention, over a projected source, or
+    # cross-attention over a given (keys, values) pair. The key bias's
+    # gradient is 0 in exact arithmetic (softmax ignores a shift of a whole
+    # score row), so only rounding is left to difference; with given keys
+    # and values, their projections are not used.
+    OpInfo("attention", attention_op,
+           [S(N(4, 6), *_projections(6), heads=2, grad=_wants((True,))),
+            S(N(2, 5, 6), *_projections(6), heads=3, mask=np.tri(5, dtype=bool),
+              grad=_wants((True,))),
+            S(N(3, 4, 6), N(3, 7, 6), *_projections(6), heads=1, mask=_keys(3, 1, 1, 7),
+              grad=_wants((True, True))),
+            S(N(3, 1, 6), N(7, 6), N(7, 6), *_projections(6), heads=2,  # shared by rows
+              grad=_wants((True, True, True), "qo")),
+            S(N(2, 3, 6), N(2, 5, 6), N(2, 5, 6), *_projections(6), heads=3,
+              mask=_keys(2, 1, 1, 5), grad=_wants((True, True, True), "qo")),
+            S(N(3, 1, 6), N(7, 6), N(7, 6), *_projections(6), heads=3,
+              grad=_wants((True, False, False), "qo")),
+            S(N(2, 4, 6), *_projections(6), heads=2, mask=np.tri(4, dtype=bool),
+              grad=_wants((False,), "kvo"))],
+           attention_chain, grad_exact=True,
+           rejects=((lambda: attention_sublayer(C(N(3, 6)), _P6, 4), ContractError, "divisible"),
+                    (lambda: attention_sublayer(C(N(3, 4)), _P6, 2), ContractError, "do not fit"),
+                    (lambda: attention_sublayer(C(N(3, 6)), _P6, 2, kv=(C(N(5, 4)), C(N(5, 4)))),
+                     ContractError, "keys or values do not fit"),
+                    (lambda: attention_sublayer(C(N(1, 6)), _P6, 2, past=(N(2, 6), N(2, 6))),
+                     ContractError, "no_grad"))),
+    OpInfo("band_attention", band_op,
+           [S(N(5, 8), *_projections(8), cfg=_band_cfg(4, 3, 3)),
+            S(N(2, 4, 6), *_projections(6), cfg=_band_cfg(3, 5, 3, circular=True)),
+            S(N(3, 6), *_projections(6), cfg=_band_cfg(3, 9, 3)),  # window clipped to 2L-1
+            S(N(3, 6), *_projections(6), cfg=_band_cfg(3, 9, 3, circular=True)),
+            S(N(2, 6, 4), *_projections(4), cfg=_band_cfg(2, 5, 1),
+              grad=(True, False, True, True, False, True, True, False, True),
+              key_mask=np.arange(6) < np.array([[6], [4]]))],
+           band_chain, grad_exact=True,
+           rejects=((lambda: conv_multi_head_attention(C(N(3, 6)), _P6, _band_cfg(4, 3, 3)),
+                     ContractError, "divisible"),
+                    (lambda: conv_multi_head_attention(C(N(2, 3, 6)), _P6, _band_cfg(3, 3, 3),
+                                                       np.ones((2, 4), bool)),
+                     ContractError, "key mask"))),
+    # the sublayers' cores, as tape ops over projected q, k, v
+    OpInfo("attention",
+           lambda q, k, v, heads, mask=None: core_op(_full_core, "attention")(q, k, v, heads,
+                                                                              _bias(mask)),
            [S(N(4, 6), N(5, 6), N(5, 6), heads=2),
             S(N(2, 5, 6), N(2, 5, 6), N(2, 5, 6), heads=3, mask=np.tri(5, dtype=bool)),
             S(N(3, 4, 6), N(3, 7, 6), N(3, 7, 6), heads=1, mask=_keys(3, 1, 1, 7)),
@@ -328,16 +420,16 @@ OPS = [
             S(N(2, 3, 6), N(5, 6), N(5, 6), heads=3, mask=_keys(2, 1, 1, 5)),
             S(N(3, 1, 6), N(7, 6), N(7, 6), grad=(True, False, False), heads=3)],
            composed_attention,
-           rejects=((lambda: _attention(C(N(3, 6)), C(N(3, 6)), C(N(3, 6)), 4),
-                     ContractError, "divisible"),)),
-    OpInfo("band_attention", _band_attention,
+           rejects=((lambda: _full_core(N(3, 6), N(3, 6), N(3, 6), 4), ContractError, "divisible"),),
+           label="attention-core"),
+    OpInfo("band_attention", core_op(_band_core, "band_attention"),
            [S(N(5, 8), N(5, 8), N(5, 8), cfg=_band_cfg(4, 3, 3)),
             S(N(2, 4, 6), N(2, 4, 6), N(2, 4, 6), cfg=_band_cfg(3, 5, 3, circular=True)),
             S(N(3, 6), N(3, 6), N(3, 6), cfg=_band_cfg(3, 9, 3)),  # window clipped to 2L-1
             S(N(3, 6), N(3, 6), N(3, 6), cfg=_band_cfg(3, 9, 3, circular=True)),
             S(N(2, 6, 4), N(2, 6, 4), N(2, 6, 4), grad=(True, False, True), cfg=_band_cfg(2, 5, 1),
               key_mask=np.arange(6) < np.array([[6], [4]]))],
-           naive_band_attention, exact=False),
+           naive_band_attention, exact=False, label="band_attention-core"),
 ]
 
 CASES = [pytest.param(e, s, id=f"{e.label or e.name}-{i}")

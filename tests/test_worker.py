@@ -23,11 +23,11 @@ import pytest
 from _helpers import gate_model
 from convsum import attention, optim
 from convsum import autodiff as ad
-from convsum.attention import _attention
+from convsum.attention import _full_core
 from convsum.errors import DegenerateInputError
 from convsum.optim import OptimizerState
 
-SITES = (ad._affine_bwd, attention.project_kv, attention._attention, optim.adam_noam_step)
+SITES = (ad._affine_bwd, attention._kv, attention._full_core, optim.adam_noam_step)
 
 
 def _codes(code) -> set:
@@ -100,12 +100,11 @@ def test_attention_backward_on_the_worker_peaks_no_higher_than_inline(monkeypatc
     peaks = []
     for work in (math.inf, 0):
         monkeypatch.setattr(ad, "PARALLEL_WORK", work)
-        q, k, v = (ad.parameter(a) for a in arrays)
-        out, _ = _attention(q, k, v, 2)
-        out.grad = np.ones(out.shape)
+        out, _, grads = _full_core(*arrays, 2)
+        g = np.ones(out.shape)
         tracemalloc.start()
         try:
-            out._backward()
+            grads(g)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -116,10 +115,10 @@ def test_attention_backward_on_the_worker_peaks_no_higher_than_inline(monkeypatc
 def _masked_row_attention(head: int):
     """Attention over 4 heads whose query 1 has no key in `head`."""
     rng = np.random.default_rng(0)
-    q, k, v = (ad.Tensor(rng.normal(size=(4, 8))) for _ in range(3))
+    q, k, v = (rng.normal(size=(4, 8)) for _ in range(3))
     bias = np.zeros((4, 4, 4))
     bias[head, 1] = -np.inf
-    return lambda: _attention(q, k, v, 4, bias)
+    return lambda: _full_core(q, k, v, 4, bias)
 
 
 def test_an_error_of_the_worker_is_raised_on_the_caller(worker, submitted):
