@@ -3,8 +3,9 @@
     python3 benchmarks/digests.py
 
 Prints, at one BLAS thread, the first 8 hex digits of:
-  - gate-train: sha256 of theta||m||v after 40 train steps from the
-    gate-train workload's `setup()` at seed 5;
+  - gate-train: the state digest (`checkpoint.state_digest`, sha256 of
+    theta||m||v) after 40 train steps from the gate-train workload's
+    `setup()` at seed 5;
   - long-train: the same after 3 long-train steps;
   - gate-decode: sha256 of the beam outputs of the first 20 test documents
     of the gate-decode workload at seed 101, the benchmark's `token_digest`.
@@ -28,7 +29,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
 
-from convsum import decoding  # noqa: E402
+from convsum import checkpoint, decoding  # noqa: E402
 from workloads import GateDecode, GateTrain, LongTrain  # noqa: E402
 
 
@@ -36,10 +37,7 @@ def train_digest(workload, steps: int) -> str:
     workload.setup()
     tr = workload.trainer
     tr.train(until_step=steps)
-    h = hashlib.sha256(tr.model.params.theta.tobytes())
-    h.update(tr.opt.m.tobytes())
-    h.update(tr.opt.v.tobytes())
-    return h.hexdigest()[:8]
+    return checkpoint.state_digest(tr.model.params.theta, tr.opt.m, tr.opt.v)[:8]
 
 
 def decode_digest(workload) -> str:

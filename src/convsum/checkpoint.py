@@ -1,13 +1,19 @@
-"""Versioned checkpoint container: run config, vocab, parameters, optimizer
-moments, and the training RNG state, in one .npz with a JSON meta record.
-Round-trips are bit-exact (float64 arrays stored losslessly)."""
+"""Versioned checkpoint container: the parameter arena `theta` and the Adam
+moments `m` and `v` as flat float64 arrays, a JSON meta record of run
+config, vocab, slot table and RNG state, and `digest`, a sha256 checksum
+of the meta text and the arrays. Round-trips are bit-exact. The checksum
+catches damage and edits by tools that do not know the format (a re-zip
+makes every CRC valid again), not deliberate ones: it is unkeyed."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import tokenize
 import zipfile
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -18,49 +24,67 @@ from .model import Summarizer
 from .optim import OptimizerState
 from .tokenizer import Vocab
 
-FORMAT_VERSION = 1
-# Each meta key and the JSON kind of its value (`opt_step` is also >= 0, and
-# a bool is not an int); `load_state` checks that the model's generator
-# accepts the RNG state.
-_META_KEYS = {"run_config": dict, "vocab": list, "opt_step": int, "rng_state": dict}
+FORMAT_VERSION = 2
+# Each meta key and the JSON kind of its value (a bool is not an int), and
+# what else some values must be; `load_state` checks that the model's
+# generator accepts the RNG state.
+_META_KEYS = {"run_config": dict, "vocab": list, "opt_step": int, "rng_state": dict,
+              "slots": list}
+_META_CHECKS = {"opt_step": lambda n: n >= 0, "slots": lambda slots: all(
+    type(s) is list and len(s) == 2 and type(s[0]) is str and type(s[1]) is list
+    and all(type(n) is int and n >= 0 for n in s[1]) for s in slots)}
+_FLATS = ("theta", "m", "v")
 
 
 @dataclass
 class Checkpoint:
     run_config: RunConfig
     vocab: Vocab
-    params: dict[str, np.ndarray]
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    slots: list  # [name, shape] of each parameter, in arena order
+    theta: np.ndarray
+    m: np.ndarray | None
+    v: np.ndarray | None
     opt_step: int
     rng_state: dict
+
+
+def state_digest(theta: np.ndarray, m: np.ndarray | None, v: np.ndarray | None,
+                 meta: str = "") -> str:
+    """sha256 over the meta text, then theta's bytes, then m's and v's once
+    allocated; with a checkpoint's meta text, its `digest`."""
+    h = hashlib.sha256(meta.encode("utf-8", "surrogatepass"))
+    for flat in (theta, m, v):
+        if flat is not None:
+            h.update(flat)
+    return h.hexdigest()
 
 
 def save_checkpoint(
     path: str, model: Summarizer, opt: OptimizerState, run_config: RunConfig
 ) -> None:
-    """Write the checkpoint, replacing `path` atomically (`write_atomically`).
-    Each flat buffer is written as one array per parameter, its view of the
-    buffer; the Adam moments not at all before a step (or a restore) has
-    allocated them."""
-    flats = {"param": model.params.theta, "m": opt.m, "v": opt.v}
-    arrays = {f"{kind}:{name}": model.params.view(flat, name)
-              for kind, flat in flats.items() if flat is not None for name in model.params}
-    meta = {
+    """Write the checkpoint, replacing `path` atomically (`write_atomically`);
+    the Adam moments not at all before a step (or a restore) has allocated
+    them."""
+    flats = {"theta": model.params.theta, "m": opt.m, "v": opt.v}
+    meta = json.dumps({
         "version": FORMAT_VERSION,
         "run_config": run_config.to_dict(),
         "vocab": model.vocab.tokens(),
         "opt_step": opt.step,
         "rng_state": model.rng.bit_generator.state,
-    }
-    write_atomically(path, lambda f: np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays),
-                     "wb")
+        "slots": [[name, list(shape)] for name, (_, _, shape) in model.params.slots.items()],
+    })
+    digest = state_digest(*flats.values(), meta)
+    arrays = {key: flat for key, flat in flats.items() if flat is not None}
+    write_atomically(path, lambda f: np.savez(f, __meta__=np.array(meta),
+                                              digest=np.array(digest), **arrays), "wb")
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; its run config is validated like a config file's,
-    its vocab like a vocab file's, and each parameter or moment array must
-    be float64."""
+    """Read a checkpoint. Its meta text and arrays must match its digest
+    before more of it is read; then its run config is validated like a
+    config file's, its vocab like a vocab file's, and its arrays' sizes
+    against its slot table."""
     key = None  # the array being read, if any
     try:
         data = np.load(path, allow_pickle=False)
@@ -76,45 +100,43 @@ def load_checkpoint(path: str) -> Checkpoint:
                         + ("" if key is None else f" (array '{key}')")) from e
     if "__meta__" not in arrays:
         raise DataError(f"not a checkpoint file: {path}")
+    text = str(arrays["__meta__"])
     try:
-        meta = json.loads(str(arrays.pop("__meta__")))
-    except ValueError:
+        meta = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: arrays nested too deep
         meta = None
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path}: meta record is not a JSON object")
     if meta.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {meta.get('version')} in {path}")
+    if set(arrays) not in ({"__meta__", "digest", "theta"}, {"__meta__", "digest", *_FLATS}):
+        raise DataError(f"checkpoint {path}: members {sorted(arrays)}, expected __meta__, "
+                        "digest and theta, and m and v or neither")
+    flats = [arrays.get(key) for key in _FLATS]
+    for key, flat in zip(_FLATS, flats):  # numpy hands back a non-.npy member's bytes
+        if flat is not None and not (isinstance(flat, np.ndarray) and flat.ndim == 1
+                                     and flat.dtype == np.float64):
+            raise DataError(f"cannot read checkpoint {path}: array '{key}' is not a float64 vector")
+    if str(arrays["digest"]) != state_digest(*flats, text):
+        raise DataError(f"checkpoint {path}: content does not match its digest")
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise DataError(f"checkpoint {path}: meta record has no {missing}")
-    malformed = [key for key, kind in _META_KEYS.items() if type(meta[key]) is not kind]
-    if not malformed and meta["opt_step"] < 0:
-        malformed = ["opt_step"]
+    malformed = [key for key, kind in _META_KEYS.items() if type(meta[key]) is not kind
+                 or key in _META_CHECKS and not _META_CHECKS[key](meta[key])]
     if malformed:
         raise DataError(f"checkpoint {path}: meta record has malformed {malformed}")
     try:
         vocab = Vocab(meta["vocab"])
     except ContractError as e:
         raise DataError(f"checkpoint {path}: meta record has malformed ['vocab']: {e}") from None
-    named = {"param": {}, "m": {}, "v": {}}
-    for key, arr in arrays.items():
-        kind, _, name = key.partition(":")
-        if kind in named:
-            named[kind][name] = arr
-            if not isinstance(arr, np.ndarray):  # numpy hands back a non-.npy member's bytes
-                raise DataError(f"cannot read checkpoint {path}: array '{key}' is not .npy data")
-            if arr.dtype != np.float64:
-                raise DataError(f"checkpoint {path}: array '{key}' has dtype {arr.dtype}, "
-                                "expected float64")
-    return Checkpoint(
-        run_config=RunConfig.from_dict(meta["run_config"]).validate(),
-        vocab=vocab,
-        params=named["param"],
-        m=named["m"],
-        v=named["v"],
-        opt_step=meta["opt_step"],
-        rng_state=meta["rng_state"],
-    )
+    size = sum(math.prod(shape) for _, shape in meta["slots"])
+    for key, flat in zip(_FLATS, flats):
+        if (flat is None and meta["opt_step"] > 0) or (flat is not None and flat.size != size):
+            raise DataError(f"checkpoint {path}: array '{key}' does not hold the {size} "
+                            f"values of its slot table at step {meta['opt_step']}")
+    return Checkpoint(RunConfig.from_dict(meta["run_config"]).validate(), vocab, meta["slots"],
+                      *flats, meta["opt_step"], meta["rng_state"])
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
@@ -127,23 +149,15 @@ def restore_model(ckpt: Checkpoint) -> tuple[Summarizer, OptimizerState]:
 def load_state(ckpt: Checkpoint, model: Summarizer, opt: OptimizerState) -> None:
     """Load a checkpoint's parameters, Adam moments and step, and RNG state
     into a built model and optimizer, whose settings stay their own. The
-    parameters and each moment must cover every parameter in its shape;
-    only a step-0 checkpoint may hold no moments, which load as zeros."""
-    params = model.params
-    want = {name: shape for name, (_, _, shape) in params.slots.items()}
-    held = {"parameter": ckpt.params, "Adam moment m": ckpt.m, "Adam moment v": ckpt.v}
-    if ckpt.opt_step == 0 and not ckpt.m and not ckpt.v:
-        held = {"parameter": ckpt.params}
-    for kind, arrays in held.items():
-        got = {name: arr.shape for name, arr in arrays.items()}
-        if got != want:
-            name = next(n for n in [*want, *got] if got.get(n) != want.get(n))
-            raise ConfigError(f"checkpoint/config mismatch: {kind} '{name}' has shape "
-                              f"{got.get(name)}, model expects {want.get(name)}")
-    opt.bind(params)
-    for flat, arrays in ((params.theta, ckpt.params), (opt.m, ckpt.m), (opt.v, ckpt.v)):
-        for name in params:
-            params.view(flat, name)[...] = arrays.get(name, 0.0)
+    checkpoint's slot table must be the model's; moments a step-0
+    checkpoint does not hold load as zeros."""
+    want = [[name, list(shape)] for name, (_, _, shape) in model.params.slots.items()]
+    if ckpt.slots != want:
+        got, expected = next(pair for pair in zip_longest(ckpt.slots, want) if pair[0] != pair[1])
+        raise ConfigError(f"checkpoint/config mismatch: slot {got}, model expects {expected}")
+    opt.bind(model.params)
+    for flat, held in zip((model.params.theta, opt.m, opt.v), (ckpt.theta, ckpt.m, ckpt.v)):
+        flat[...] = 0.0 if held is None else held
     opt.step = ckpt.opt_step
     try:
         model.rng.bit_generator.state = ckpt.rng_state

@@ -18,6 +18,7 @@ from convsum import autodiff as ad
 from convsum import kernels
 from convsum.attention import _band_tables, _heads, _key_bias, _merged, _unwindow, _window
 from convsum.autodiff import Tensor, _acc, _result, _softmax_fwd, _unbroadcast
+from convsum.checkpoint import state_digest
 from convsum.config import RunConfig, build_model
 from convsum.data import encode_pairs, iter_texts
 from convsum.errors import ContractError
@@ -326,6 +327,15 @@ def rewrite_members(raw: bytes, edit) -> bytes:
         for info in src.infolist():
             dst.writestr(info, edit(info.filename, src.read(info)))
     return out.getvalue()
+
+
+def save_with_digest(path, members: dict) -> None:
+    """Write a checkpoint's members (name -> array; `__meta__` its text) to
+    path with `np.savez`, its `digest` recomputed over the meta text and
+    theta, m and v, as a tool that knows the format would."""
+    digest = state_digest(*(members.get(key) for key in ("theta", "m", "v")),
+                          str(members["__meta__"]))
+    np.savez(path, **{**members, "digest": np.array(digest)})
 
 
 def attention_params(rng: np.random.Generator, d: int) -> dict:

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import re
 import struct
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import WORD_POOL, make_lead_corpus, rewrite_members, save_jsonl
+from _helpers import (WORD_POOL, make_lead_corpus, rewrite_members, save_jsonl,
+                      save_with_digest)
 from convsum import cli
 from convsum.attention import AttentionConfig
 from convsum.checkpoint import load_checkpoint
@@ -544,13 +546,20 @@ class TestCliTrainAndUse:
         assert not (tmp_path / "ckpt").exists()
 
     @staticmethod
-    def _tampered(trained, tmp_path, edit) -> str:
-        """A copy of the trained run's checkpoint whose meta text is edit(meta text)."""
-        ck = tmp_path / "tampered.npz"
+    def _members(trained) -> dict:
+        """The trained run's last checkpoint, member name -> array."""
         with np.load(trained[0] / "ckpt" / "ckpt-10.npz") as saved:
-            arrays = {name: saved[name] for name in saved.files}
+            return {name: saved[name] for name in saved.files}
+
+    @classmethod
+    def _tampered(cls, trained, tmp_path, edit) -> str:
+        """A copy of the trained run's checkpoint whose meta text is edit(meta
+        text), its digest recomputed: each edit reaches the check after the
+        digest."""
+        ck = tmp_path / "tampered.npz"
+        arrays = cls._members(trained)
         arrays["__meta__"] = np.array(edit(str(arrays["__meta__"])))
-        np.savez(ck, **arrays)
+        save_with_digest(ck, arrays)
         return str(ck)
 
     @pytest.mark.parametrize("key,value", [
@@ -576,6 +585,7 @@ class TestCliTrainAndUse:
     @pytest.mark.parametrize("edit,named", [
         (lambda text: text[:-1], "not a JSON object"),  # cut short: not JSON
         (lambda text: json.dumps([json.loads(text)]), "not a JSON object"),
+        (lambda text: "[" * 100_000, "not a JSON object"),  # json.loads: RecursionError
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "vocab"}),
          "'vocab'"),
         (lambda text: json.dumps({**json.loads(text), "vocab": 5}), "'vocab'"),
@@ -587,9 +597,9 @@ class TestCliTrainAndUse:
         (lambda text: json.dumps({**json.loads(text), "opt_step": True}), "'opt_step'"),
         (lambda text: json.dumps({**json.loads(text), "run_config": []}), "'run_config'"),
         (lambda text: json.dumps({**json.loads(text), "rng_state": {}}), "'rng_state'"),
-    ], ids=["cut-short", "a-list", "no-vocab", "vocab-int", "vocab-no-reserved-head",
-            "vocab-repeated-token", "opt-step-str", "opt-step-negative", "opt-step-bool",
-            "run-config-list", "rng-state-empty"])
+    ], ids=["cut-short", "a-list", "nested-too-deep", "no-vocab", "vocab-int",
+            "vocab-no-reserved-head", "vocab-repeated-token", "opt-step-str", "opt-step-negative",
+            "opt-step-bool", "run-config-list", "rng-state-empty"])
     def test_malformed_checkpoint_meta_is_data_error(self, trained, tmp_path, capsys,
                                                      edit, named):
         ck = self._tampered(trained, tmp_path, edit)
@@ -598,17 +608,17 @@ class TestCliTrainAndUse:
         assert "error[data]" in err and named in err
 
     @pytest.mark.parametrize("key,bad", [
-        ("param:gen.b", lambda a: np.full(a.shape, "x")),  # a string array of the right shape
-        ("m:gen.w", lambda a: a.astype(np.float32)),
-        ("v:copy.bq", lambda a: a.astype(np.int64)),
-    ], ids=["param-str", "m-float32", "v-int64"])
+        ("theta", lambda a: np.full(a.shape, "x")),  # a string array of the right shape
+        ("m", lambda a: a.astype(np.float32)),
+        ("v", lambda a: a.astype(np.int64)),
+        ("theta", lambda a: a[:, None]),  # float64, but not a vector
+    ], ids=["param-str", "m-float32", "v-int64", "theta-2d"])
     def test_non_float64_checkpoint_array_is_data_error(self, trained, tmp_path, capsys,
                                                         key, bad):
         ck = tmp_path / "bad-dtype.npz"
-        with np.load(trained[0] / "ckpt" / "ckpt-10.npz") as saved:
-            arrays = {name: saved[name] for name in saved.files}
+        arrays = self._members(trained)
         arrays[key] = bad(arrays[key])
-        np.savez(ck, **arrays)
+        save_with_digest(ck, arrays)
         with pytest.raises(DataError, match=re.escape(f"'{key}'")):
             load_checkpoint(str(ck))
         assert cli.main(["summarize", "--checkpoint", str(ck), "--text", "anything"]) == 3
@@ -624,7 +634,7 @@ class TestCliTrainAndUse:
         ck = tmp_path / "corrupted.npz"
         if damage == "flipped-byte":
             with zipfile.ZipFile(saved) as z:
-                info = z.getinfo("param:gen.w.npy")
+                info = z.getinfo("theta.npy")
             # a local header is 30 bytes, then the member's name and extra field
             name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
             raw[info.header_offset + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
@@ -637,6 +647,17 @@ class TestCliTrainAndUse:
         ck.write_bytes(bytes(raw))
         return ck
 
+    @staticmethod
+    def _using(trained, ck, command, tmp_path) -> list[str]:
+        """The argv of a command that loads checkpoint ck."""
+        root = trained[0]
+        return {
+            "summarize": ["summarize", "--checkpoint", str(ck), "--text", "anything"],
+            "evaluate": ["evaluate", "--checkpoint", str(ck), "--test", str(root / "train.jsonl")],
+            "train-resume": ["train", "--config", str(root / "run.cfg"), "--resume", str(ck),
+                             "--checkpoint-dir", str(tmp_path / "ckpt")],
+        }[command]
+
     @pytest.mark.parametrize("command", ["summarize", "evaluate", "train-resume"])
     @pytest.mark.parametrize("damage,named", [
         ("flipped-byte", "cannot read checkpoint {}: Bad CRC-32"),
@@ -645,23 +666,16 @@ class TestCliTrainAndUse:
     ], ids=["flipped-byte", "truncated", "lone-array"])
     def test_corrupted_checkpoint_exits_3(self, trained, tmp_path, capsys, command, damage,
                                           named):
-        root = trained[0]
         ck = self._corrupted(trained, tmp_path, damage)
-        argv = {
-            "summarize": ["summarize", "--checkpoint", str(ck), "--text", "anything"],
-            "evaluate": ["evaluate", "--checkpoint", str(ck), "--test", str(root / "train.jsonl")],
-            "train-resume": ["train", "--config", str(root / "run.cfg"), "--resume", str(ck),
-                             "--checkpoint-dir", str(tmp_path / "ckpt")],
-        }[command]
-        assert cli.main(argv) == 3
+        assert cli.main(self._using(trained, ck, command, tmp_path)) == 3
         assert "error[data]: " + named.format(ck) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["summarize", "evaluate", "train-resume"])
     @pytest.mark.parametrize("member,offset,named", [
         # numpy hands back a member without the .npy magic as raw bytes
-        ("param:dec.0.ln2.b.npy", 5, "array 'param:dec.0.ln2.b' is not .npy data"),
+        ("theta.npy", 5, "array 'theta' is not a float64 vector"),
         # a header dict that numpy's tokenizer rejects
-        ("m:dec.0.cross.bq.npy", 64, "(array 'm:dec.0.cross.bq')"),
+        ("m.npy", 64, "(array 'm')"),
     ], ids=["magic", "header-dict"])
     def test_damaged_member_with_valid_crcs_exits_3(self, trained, tmp_path, capsys, command,
                                                     member, offset, named):
@@ -678,15 +692,68 @@ class TestCliTrainAndUse:
 
         ck = tmp_path / "rewritten.npz"
         ck.write_bytes(rewrite_members((root / "ckpt" / "ckpt-10.npz").read_bytes(), damage))
-        argv = {
-            "summarize": ["summarize", "--checkpoint", str(ck), "--text", "anything"],
-            "evaluate": ["evaluate", "--checkpoint", str(ck), "--test", str(root / "train.jsonl")],
-            "train-resume": ["train", "--config", str(root / "run.cfg"), "--resume", str(ck),
-                             "--checkpoint-dir", str(tmp_path / "ckpt")],
-        }[command]
-        assert cli.main(argv) == 3
+        assert cli.main(self._using(trained, ck, command, tmp_path)) == 3
         err = capsys.readouterr().err
         assert f"error[data]: cannot read checkpoint {ck}: " in err and named in err
+
+    @staticmethod
+    def _edit_gen_w(arrays):
+        """Raise `gen.w`'s slot of theta by 1.0."""
+        lo = 0
+        for name, shape in json.loads(str(arrays["__meta__"]))["slots"]:
+            if name == "gen.w":
+                break
+            lo += math.prod(shape)
+        arrays["theta"] = arrays["theta"].copy()
+        arrays["theta"][lo:lo + math.prod(shape)] += 1.0
+
+    @staticmethod
+    def _edit_m(arrays):
+        arrays["m"] = arrays["m"].copy()
+        arrays["m"][7] += 1e-3
+
+    @staticmethod
+    def _edit_opt_step(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        arrays["__meta__"] = np.array(json.dumps({**meta, "opt_step": meta["opt_step"] + 1}))
+
+    @staticmethod
+    def _edit_meta_surrogate(arrays):
+        """A lone surrogate, which a numpy string holds and UTF-8 cannot encode."""
+        arrays["__meta__"] = np.array(str(arrays["__meta__"])[:-1] + ', "note": "\ud800"}')
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate", "train-resume"])
+    @pytest.mark.parametrize("edit", ["_edit_gen_w", "_edit_m", "_edit_opt_step",
+                                      "_edit_meta_surrogate"],
+                             ids=["theta-gen-w", "m-value", "meta-opt-step", "meta-surrogate"])
+    def test_edited_content_exits_3(self, trained, tmp_path, capsys, command, edit):
+        """Content edited and re-zipped with np.savez, its digest left as
+        it was: every CRC is valid, and the file does not load."""
+        arrays = self._members(trained)
+        getattr(self, edit)(arrays)
+        ck = tmp_path / "edited.npz"
+        np.savez(ck, **arrays)
+        assert cli.main(self._using(trained, ck, command, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert f"error[data]: checkpoint {ck}: content does not match its digest" in err
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate", "train-resume"])
+    def test_version_1_checkpoint_exits_2(self, trained, tmp_path, capsys, command):
+        """The layout before the arena was stored whole: one member per
+        parameter and kind, named `param:<name>`, `m:<name>`, `v:<name>`."""
+        arrays = self._members(trained)
+        meta = json.loads(str(arrays["__meta__"]))
+        v1, lo = {}, 0
+        for name, shape in meta.pop("slots"):
+            hi = lo + math.prod(shape)
+            for kind, flat in (("param", "theta"), ("m", "m"), ("v", "v")):
+                v1[f"{kind}:{name}"] = arrays[flat][lo:hi].reshape(shape)
+            lo = hi
+        ck = tmp_path / "v1.npz"
+        np.savez(ck, __meta__=np.array(json.dumps({**meta, "version": 1})), **v1)
+        assert cli.main(self._using(trained, ck, command, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"error[config]: unsupported checkpoint version 1 in {ck}" in err
 
     @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate", "leadtail"])
     def test_lone_surrogate_in_a_corpus_exits_3(self, trained, tmp_path, capsys, command):

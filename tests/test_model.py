@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -6,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from _helpers import check_grads, fix_gate, gate_model
+from _helpers import check_grads, fix_gate, gate_model, save_with_digest
 from convsum import autodiff as ad
 from convsum.attention import AttentionConfig
 from convsum.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from convsum.config import RunConfig, build_model
-from convsum.errors import ConfigError, ContractError, NonFiniteError
+from convsum.errors import ConfigError, ContractError, DataError, NonFiniteError
 from convsum.decoding import DecodingConfig, beam_search
 from convsum.model import ModelConfig, Summarizer, _sinusoid
 from convsum.optim import OptimizerState, zero_grads
@@ -531,6 +532,24 @@ class TestParameterArena:
 # --- checkpointing -----------------------------------------------------------
 
 
+def _extra_slot(meta, arrays):
+    meta["slots"].append(["nope", [3]])
+    for key in ("theta", "m", "v"):
+        arrays[key] = np.append(arrays[key], np.zeros(3))
+
+
+def _first_slot_only(meta, arrays):
+    meta["slots"] = meta["slots"][:1]
+    for key in ("theta", "m", "v"):
+        arrays[key] = arrays[key][:math.prod(meta["slots"][0][1])]
+
+
+def _reshaped_gen_b(meta, arrays):
+    """gen.b as a (1, n) matrix: the same values, another slot."""
+    slot = next(slot for slot in meta["slots"] if slot[0] == "gen.b")
+    slot[1] = [1, *slot[1]]
+
+
 class TestCheckpoint:
     def _run_config(self, tmp_path):
         return RunConfig(
@@ -607,10 +626,9 @@ class TestCheckpoint:
         restored, opt2 = restore_model(ckpt)
         for name, p in restored.params.items():
             assert np.shares_memory(p.data, restored.params.theta), name
-        for name in model.params:
-            assert not np.shares_memory(opt2.m, ckpt.m[name]), name
-            assert np.array_equal(restored.params.view(opt2.m, name), ckpt.m[name]), name
-            assert np.array_equal(restored.params.view(opt2.v, name), ckpt.v[name]), name
+        for flat, held in ((restored.params.theta, ckpt.theta), (opt2.m, ckpt.m), (opt2.v, ckpt.v)):
+            assert not np.shares_memory(flat, held)
+            assert np.array_equal(flat, held)
         batch = _copy_batch(vocab, rng, 2)
         model.train_step(batch, opt)
         restored.train_step(batch, opt2)
@@ -625,7 +643,7 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, model, opt, cfg)
         ckpt = load_checkpoint(path)
-        assert ckpt.opt_step == 0 and ckpt.m == {} and ckpt.v == {}
+        assert ckpt.opt_step == 0 and ckpt.m is None and ckpt.v is None
         restored, opt2 = restore_model(ckpt)
         assert opt2.step == 0 and not opt2.m.any() and not opt2.v.any()
         batch = _copy_batch(vocab, rng, 2)
@@ -634,24 +652,33 @@ class TestCheckpoint:
         assert restored.params.theta.tobytes() == model.params.theta.tobytes()
         assert (opt2.m.tobytes(), opt2.v.tobytes()) == (opt.m.tobytes(), opt.v.tobytes())
 
-    @pytest.mark.parametrize("corrupt, match", [
-        (lambda c: c.m.update(nope=np.zeros(3)) or c.v.update(nope=np.zeros(3)), "'nope'"),
-        (lambda c: c.m.update({"gen.b": np.zeros(5)}), "'gen.b'"),
-        (lambda c: c.v.update({"gen.w": np.zeros((2, 2))}), "'gen.w'"),
-        (lambda c: c.v.pop("gen.b"), "'gen.b'"),
-        (lambda c: [h.pop(k) for h in (c.m, c.v) for k in list(h)[1:]],
-         "'enc.0.att.wq' has shape None"),
-        (lambda c: (c.m.clear(), c.v.clear()), "'src_embed' has shape None"),
-        (lambda c: c.params.update({"gen.b": np.zeros(5)}), "parameter 'gen.b'"),
+    @pytest.mark.parametrize("corrupt, error, match", [
+        (_extra_slot, ConfigError, "'nope'"),
+        (lambda meta, a: a.update(m=a["m"][:-5]), DataError, "'m' does not hold"),
+        (lambda meta, a: a.update(v=np.append(a["v"], np.zeros(4))), DataError,
+         "'v' does not hold"),
+        (lambda meta, a: a.pop("v"), DataError, "members"),
+        (_first_slot_only, ConfigError, r"slot None, model expects \['enc.0.att.wq'"),
+        (lambda meta, a: (a.pop("m"), a.pop("v")), DataError, "'m' does not hold"),
+        (_reshaped_gen_b, ConfigError, r"slot \['gen.b', \[1, "),
     ], ids=["unknown-name", "m-shape", "v-shape", "m-without-v", "some-parameters",
             "none-after-a-step", "parameter-shape"])
     def test_restore_rejects_moments_that_match_no_parameter(
-        self, vocab, rng, tmp_path, corrupt, match
+        self, vocab, rng, tmp_path, corrupt, error, match
     ):
-        _, _, ckpt = self._trained_checkpoint(vocab, rng, tmp_path)
-        corrupt(ckpt)
-        with pytest.raises(ConfigError, match=match):
-            restore_model(ckpt)
+        """A trained checkpoint whose slot table or arrays were changed, its
+        digest recomputed: a table other than the model's is a config
+        mismatch, and arrays that do not fit their table (moments missing
+        after a step among them) make a damaged file."""
+        self._trained_checkpoint(vocab, rng, tmp_path)
+        with np.load(tmp_path / "ck.npz") as saved:
+            members = {name: saved[name] for name in saved.files}
+        meta = json.loads(str(members["__meta__"]))
+        corrupt(meta, members)
+        members["__meta__"] = np.array(json.dumps(meta))
+        save_with_digest(tmp_path / "changed.npz", members)
+        with pytest.raises(error, match=match):
+            restore_model(load_checkpoint(str(tmp_path / "changed.npz")))
 
 
 # --- incremental decoding ------------------------------------------------------
